@@ -16,23 +16,36 @@ the large-P execution path:
   traced allocations for the *whole run*), which the dense board cannot
   meet: its board state alone is 256 MiB before the first iteration runs.
 
+A third case pins the gossip kernels themselves: one dense and one sparse
+``step()`` at ``P = 1024``, timed on the same board state with the shipped
+kernels and with the frozen reference kernels of
+``tests/simcluster/seed_gossip_kernels.py``, must keep a speedup floor.
+
 Smoke mode (``REPRO_BENCH_SMOKE=1``, the CI large-P lane) shortens the runs
-but keeps both assertions live.
+but keeps every assertion live.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import importlib.util
 import os
+import statistics
 import time
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 from _artifacts import record_bench
 
 from repro.lb.registry import make_policy_pair
 from repro.runtime.skeleton import IterativeRunner, initial_lb_cost_prior
 from repro.runtime.synthetic import SyntheticGrowthApplication
+from repro.simcluster import gossip
 from repro.simcluster.cluster import VirtualCluster
-from repro.simcluster.gossip import GossipConfig
+from repro.simcluster.gossip import GossipBoard, GossipConfig, SparseGossipBoard
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -158,3 +171,99 @@ def test_large_p_memory_budget_p4096():
         wall,
         MEMORY_ITERATIONS / wall,
     )
+
+
+#: Timed steps per kernel and board in the kernel case.
+KERNEL_STEPS = 3 if SMOKE else 9
+#: Required step() speedup of the shipped kernels over the reference ones
+#: at P=1024 (measured ~2.4x dense and ~2.7x sparse on a 2-vCPU Xeon VM).
+KERNEL_SPEEDUP_FLOOR = 1.2 if SMOKE else 1.5
+
+
+def _seed_kernels():
+    path = Path(__file__).resolve().parents[1] / "tests" / "simcluster" / "seed_gossip_kernels.py"
+    spec = importlib.util.spec_from_file_location("seed_gossip_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _warm(board, rounds=8):
+    rng = np.random.default_rng(0)
+    for _ in range(rounds):
+        board.publish_all(rng.random(board.num_ranks))
+        board.step()
+    return board
+
+
+def _state_bytes(board):
+    return [v.tobytes() for _, v in sorted(vars(board).items()) if isinstance(v, np.ndarray)]
+
+
+def _step_seconds(board, reference):
+    """Median seconds of one step() of copies of ``board`` under each kernel set.
+
+    Both kernel sets step copies of the same state, alternating which goes
+    first, and must leave bit-identical board state.
+    """
+    shipped, frozen = [], []
+    for rep in range(KERNEL_STEPS):
+        runs = [(shipped, contextlib.nullcontext()), (frozen, reference)]
+        states = []
+        for samples, kernels in runs if rep % 2 == 0 else runs[::-1]:
+            stepped = copy.deepcopy(board)
+            with kernels:
+                start = time.perf_counter()
+                stepped.step()
+                samples.append(time.perf_counter() - start)
+            states.append(_state_bytes(stepped))
+        assert states[0] == states[1]
+    return statistics.median(shipped), statistics.median(frozen)
+
+
+def test_large_p_gossip_kernels_p1024():
+    """Dense and sparse step() at P=1024: shipped vs reference kernels."""
+    seed = _seed_kernels()
+    cases = (
+        (
+            "dense",
+            GossipBoard(THROUGHPUT_P, seed=0),
+            mock.patch.multiple(
+                gossip,
+                select_push_targets=seed.seed_select_push_targets,
+                merge_pushes=seed.seed_merge_pushes,
+            ),
+        ),
+        (
+            "sparse",
+            SparseGossipBoard(THROUGHPUT_P, config=SPARSE_64, seed=0),
+            mock.patch.object(SparseGossipBoard, "_merge", seed.seed_sparse_merge),
+        ),
+    )
+    print()
+    for label, board, reference in cases:
+        new_s, old_s = _step_seconds(_warm(board), reference)
+        speedup = old_s / new_s
+        print(
+            f"gossip kernels [{label}] P={THROUGHPUT_P}: step {new_s * 1e3:.1f} ms "
+            f"(reference {old_s * 1e3:.1f} ms, {speedup:.2f}x)"
+        )
+        for kernels, seconds in (("shipped", new_s), ("reference", old_s)):
+            record_bench(
+                "large_p",
+                f"gossip-step-p{THROUGHPUT_P}-{label}-{kernels}",
+                {
+                    "num_pes": THROUGHPUT_P,
+                    "gossip": label,
+                    "kernels": kernels,
+                    "steps": KERNEL_STEPS,
+                    "speedup": speedup,
+                    "smoke": SMOKE,
+                },
+                seconds,
+                1.0 / seconds,
+            )
+        assert speedup >= KERNEL_SPEEDUP_FLOOR, (
+            f"{label} gossip step at P={THROUGHPUT_P} is only {speedup:.2f}x the "
+            f"reference kernels (floor {KERNEL_SPEEDUP_FLOOR}x)"
+        )

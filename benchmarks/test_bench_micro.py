@@ -99,10 +99,16 @@ def test_bench_cluster_compute_step(benchmark):
     assert result.elapsed > 0.0
 
 
-def test_bench_gossip_round(benchmark):
-    """One push-gossip dissemination round across 256 ranks."""
-    board = GossipBoard(256, seed=0)
-    for rank in range(256):
+@pytest.mark.parametrize("num_ranks", [32, 64, 256])
+def test_bench_gossip_round(benchmark, num_ranks):
+    """One push-gossip dissemination round, at the fig-4/campaign sizes too.
+
+    P = 32 and 64 are the ``erosion-fig4`` / ``campaign`` board sizes, where
+    per-call overhead rather than memory traffic dominates a round, so a
+    small-P regression of the gossip kernels shows up here.
+    """
+    board = GossipBoard(num_ranks, seed=0)
+    for rank in range(num_ranks):
         board.publish(rank, float(rank))
 
     benchmark(board.step)

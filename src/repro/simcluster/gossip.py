@@ -13,13 +13,17 @@ whole replicated database is a pair of ``(P, P)`` matrices -- ``values`` and
 holds what ``r`` knows about source rank ``s`` (version ``-1`` = unknown).
 One :meth:`step` performs the entire synchronous push round with a single
 batched RNG draw (:func:`select_push_targets`) and a vectorized
-freshest-version merge, instead of per-rank ``dict`` snapshot/merge loops.
+freshest-version merge (:func:`merge_pushes`: shift-packed
+``(version, push)`` keys, scattered with ``np.maximum.at`` one cache-sized
+block of columns at a time) instead of per-rank ``dict`` snapshot/merge
+loops.
 
 Version tie-break rule (applied consistently):
 
 * **freshest wins** -- a merged entry only overwrites a strictly older one;
   on equal versions the receiver keeps what it has (copies of the same
-  ``(source, version)`` pair carry the same value, so this is value-neutral);
+  ``(source, version)`` pair carry the same value unless the source
+  re-published at that version; among such pushes the later one wins);
 * **self-publish always wins ties** -- a rank re-publishing its own value at
   an unchanged version replaces its local entry, so the latest published
   value is what starts propagating.
@@ -36,10 +40,12 @@ Two board implementations share those semantics:
   when a view overflows.  Views are *partial by design*; consumers must
   tolerate incomplete views (the ULBA policies already do -- their
   ``complete_matrix`` fast paths return ``None`` and degrade to the
-  per-rank rule).
+  per-rank rule).  Its merge sorts packed int64 keys: one ``argsort`` to
+  keep the freshest copy per ``(receiver, source)`` and one to evict.
 
 :func:`make_gossip_board` selects the implementation from
-:attr:`GossipConfig.mode`.
+:attr:`GossipConfig.mode`.  Versions are below :data:`VERSION_LIMIT`, which
+leaves every packed key room in an int64.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ __all__ = [
     "GossipConfig",
     "GossipBoard",
     "SparseGossipBoard",
+    "VERSION_LIMIT",
     "make_gossip_board",
     "merge_pushes",
     "select_push_targets",
@@ -69,6 +76,13 @@ GOSSIP_MODES = ("dense", "sparse")
 #: Recognised push topologies of the sparse board; the dense board accepts
 #: them too (``random`` keeps its historical batched ``(P, P)`` draw).
 GOSSIP_TOPOLOGIES = ("random", "ring", "hypercube")
+#: Exclusive upper bound of published versions.  The merges pack a version
+#: into the high bits of an int64 key, above a push index or a rank pair.
+VERSION_LIMIT = 2**31
+#: Largest sparse board: its eviction key packs two ranks and a 31-bit age.
+SPARSE_RANK_LIMIT = 2**16
+#: Columns one dense merge block covers (see :func:`merge_pushes`).
+_MERGE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -160,22 +174,53 @@ def select_push_targets(
     if num_ranks == 1:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    k = min(fanout, num_ranks - 1)
     keys = rng.random((num_ranks, num_ranks))
     np.fill_diagonal(keys, np.inf)
-    targets = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    targets = _smallest_k(keys, min(fanout, num_ranks - 1))
+    return _random_push_edges(targets[None], include_root)
 
-    src = np.repeat(np.arange(num_ranks, dtype=np.intp), k)
-    dst = targets.ravel().astype(np.intp, copy=False)
+
+def _smallest_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the ``k`` smallest entries of every row of ``keys``.
+
+    For ``k <= 3`` this takes ``k`` vectorized ``argmin`` passes (each
+    masking its pick with ``inf``, so ``keys`` is modified), which measures
+    several times faster than ``argpartition``'s introselect; larger ``k``
+    uses ``argpartition``.  Both yield the same set per row, in different
+    orders -- and since each row's targets are distinct, the order never
+    changes which push wins a merge tie (see :func:`merge_pushes`).
+    """
+    if k > 3:
+        return np.argpartition(keys, k - 1, axis=1)[:, :k]
+    rows = np.arange(keys.shape[0])
+    targets = np.empty((rows.size, k), dtype=np.intp)
+    for j in range(k):
+        targets[:, j] = low = keys.argmin(axis=1)
+        if j + 1 < k:
+            keys[rows, low] = np.inf
+    return targets
+
+
+def _random_push_edges(
+    targets: np.ndarray, include_root: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Push edges of ``(R, P, k)`` per-rank targets, views flattened to ``R * P``.
+
+    Rank ``p`` of replica ``r`` is view ``r * P + p``; its pushes are
+    enumerated in rank order.  With ``include_root``, every rank other than
+    0 whose targets missed its replica's rank 0 pushes to it as well; those
+    edges come last.
+    """
+    replicas, num_ranks, k = targets.shape
+    base = (np.arange(replicas, dtype=np.intp) * num_ranks)[:, None, None]
+    src = np.repeat(np.arange(replicas * num_ranks, dtype=np.intp), k)
+    dst = (targets + base).reshape(-1)
     if include_root:
-        # Ranks != 0 whose targets missed rank 0 push to it as well.
-        missing_root = np.flatnonzero(~(targets == 0).any(axis=1))
-        missing_root = missing_root[missing_root != 0]
-        if missing_root.size:
-            src = np.concatenate([src, missing_root.astype(np.intp)])
-            dst = np.concatenate(
-                [dst, np.zeros(missing_root.size, dtype=np.intp)]
-            )
+        missing = ~(targets == 0).any(axis=2)
+        missing[:, 0] = False
+        views = np.flatnonzero(missing)
+        src = np.concatenate([src, views])
+        dst = np.concatenate([dst, views - views % num_ranks])
     return src, dst
 
 
@@ -242,6 +287,14 @@ def sparse_random_push_targets(
     return src, dst.reshape(-1).astype(np.intp, copy=False)
 
 
+def _checked_version(version: Optional[int], steps: int) -> int:
+    """The version a publish uses: ``steps`` by default, else ``version``."""
+    v = steps if version is None else int(version)
+    if not 0 <= v < VERSION_LIMIT:
+        raise ValueError(f"version must be in [0, 2**31), got {v}")
+    return v
+
+
 def merge_pushes(
     values: np.ndarray, versions: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> None:
@@ -255,40 +308,43 @@ def merge_pushes(
     of different replicas never push to each other, so the grouped merge
     below never mixes them).
 
-    Each push's per-entry version is packed with its push index into one
-    int64 key, so a grouped ``np.maximum.reduceat`` per receiver yields both
-    the freshest incoming version and a push that carries it; entries whose
-    version strictly increases take that push's value.  Which of several
-    equal-version pushes wins is immaterial: copies of the same ``(source,
-    version)`` pair hold the same value.
+    Every copy of an entry gets one int64 key ``(version << b) | tag``: a
+    push's tag is its index ``e``, the receiver's own copy has the all-ones
+    tag, above every push.  One unbuffered ``np.maximum.at`` scatter of the
+    push keys onto the receivers' keys then leaves the freshest version in
+    every entry.  On a version tie the receiver keeps its copy and, among
+    pushes, the later one wins (copies of one ``(source, version)`` pair
+    differ only after an equal-version re-publish).  Versions are below
+    :data:`VERSION_LIMIT`, so the keys fit.
+
+    The columns are merged in blocks of ``_MERGE_BLOCK``.  A block reads
+    and writes only its own columns, so it still sees the pre-round state,
+    and its key matrices stay in cache even at ``P = 1024``.  Values are
+    gathered and written only where an entry improved.
     """
     num_pushes = src.shape[0]
-    order = np.argsort(dst, kind="stable")
-    dst_sorted = dst[order]
-    boundaries = np.empty(num_pushes, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(dst_sorted[1:], dst_sorted[:-1], out=boundaries[1:])
-    group_starts = np.flatnonzero(boundaries)
-    receivers = dst_sorted[group_starts]
-    src_sorted = src[order]
-
-    # key = version * num_pushes + push_position: max key <=> max version,
-    # ties resolved towards later (value-identical) pushes.
-    keys = versions[src_sorted] * num_pushes
-    keys += np.arange(num_pushes)[:, None]
-    best = np.maximum.reduceat(keys, group_starts, axis=0)
-    incoming_ver = best // num_pushes
-
-    current_ver = versions[receivers]
-    improved = incoming_ver > current_ver
-    if not improved.any():
-        return
-    # Gather only the winning pushes' values (still the pre-round state:
-    # nothing has been written yet).
-    entry = np.arange(values.shape[1])
-    incoming_val = values[src_sorted[best % num_pushes], entry]
-    values[receivers] = np.where(improved, incoming_val, values[receivers])
-    versions[receivers] = np.where(improved, incoming_ver, current_ver)
+    num_entries = values.shape[1]
+    shift = num_pushes.bit_length()
+    own = (1 << shift) - 1
+    push_tag = np.arange(num_pushes, dtype=np.int64)[:, None]
+    width = 0
+    for lo in range(0, num_entries, _MERGE_BLOCK):
+        hi = min(lo + _MERGE_BLOCK, num_entries)
+        if hi - lo != width:
+            width = hi - lo
+            targets = (dst[:, None] * width + np.arange(width)).reshape(-1)
+        keys = versions[src, lo:hi] << shift
+        keys |= push_tag
+        best = versions[:, lo:hi] << shift
+        best |= own
+        np.maximum.at(best.reshape(-1), targets, keys.reshape(-1))
+        tag = (best & own).reshape(-1)
+        improved = np.flatnonzero(tag != own)
+        if improved.size:
+            rows, cols = np.divmod(improved, width)
+            cols += lo
+            values[rows, cols] = values[src[tag[improved]], cols]
+            np.right_shift(best, shift, out=versions[:, lo:hi])
 
 
 class GossipBoard:
@@ -327,13 +383,11 @@ class GossipBoard:
         later always win over older ones when views merge.  A self-publish
         at the *same* version also wins (ties go to the owner), so the
         latest value published within a step is the one disseminated.
-        Explicit versions must be >= 0 (-1 is the internal "unknown"
-        sentinel).
+        Explicit versions must lie in ``[0, VERSION_LIMIT)`` (-1 is the
+        internal "unknown" sentinel).
         """
         self._check_rank(rank)
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = _checked_version(version, self._steps)
         if v >= self._versions[rank, rank]:
             self._values[rank, rank] = float(value)
             self._versions[rank, rank] = v
@@ -352,9 +406,7 @@ class GossipBoard:
                 f"values must have one entry per rank ({self.num_ranks}), "
                 f"got {values.shape}"
             )
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = _checked_version(version, self._steps)
         diag = np.arange(self.num_ranks)
         mask = v >= self._versions[diag, diag]
         idx = diag[mask]
@@ -439,7 +491,7 @@ class GossipBoard:
                 self._steps, self.num_ranks, self.config.fanout, self.config.topology
             )
         if src.size:
-            self._merge_pushes(src, dst)
+            merge_pushes(self._values, self._versions, src, dst)
         self._steps += 1
 
     def run_until_complete(self, max_steps: int = 1_000) -> int:
@@ -456,10 +508,6 @@ class GossipBoard:
         return self._steps - initial
 
     # ------------------------------------------------------------------
-    def _merge_pushes(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """One round's freshest-version merge (see :func:`merge_pushes`)."""
-        merge_pushes(self._values, self._versions, src, dst)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.num_ranks:
             raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
@@ -493,6 +541,8 @@ class SparseGossipBoard:
     ``fanout`` uniform peers per rank with one batched ``(P, fanout)``
     integer draw per round (bounded memory, unlike the dense board's
     ``(P, P)`` key matrix), ``ring`` and ``hypercube`` are deterministic.
+    Boards hold at most :data:`SPARSE_RANK_LIMIT` ranks, so that the merge's
+    packed sort keys fit in an int64.
     """
 
     def __init__(
@@ -503,6 +553,11 @@ class SparseGossipBoard:
         seed: SeedLike = None,
     ) -> None:
         check_positive_int(num_ranks, "num_ranks")
+        if num_ranks > SPARSE_RANK_LIMIT:
+            raise ValueError(
+                f"a sparse board holds at most {SPARSE_RANK_LIMIT} ranks, "
+                f"got {num_ranks}"
+            )
         self.num_ranks = num_ranks
         self.config = config or GossipConfig(mode="sparse")
         self._rng = ensure_rng(seed)
@@ -536,9 +591,7 @@ class SparseGossipBoard:
         to the step count, and a self-publish at an unchanged version wins.
         """
         self._check_rank(rank)
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = _checked_version(version, self._steps)
         if v >= self._ver[rank, 0]:
             self._val[rank, 0] = float(value)
             self._ver[rank, 0] = v
@@ -553,9 +606,7 @@ class SparseGossipBoard:
                 f"values must have one entry per rank ({self.num_ranks}), "
                 f"got {values.shape}"
             )
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = _checked_version(version, self._steps)
         mask = v >= self._ver[:, 0]
         self._val[mask, 0] = values[mask]
         self._ver[mask, 0] = v
@@ -678,81 +729,77 @@ class SparseGossipBoard:
         Candidate entries are every receiver's current entries plus every
         slot of each pushed view.  Per ``(receiver, source)`` pair the
         freshest version survives, with the receiver's existing entry
-        winning ties (value-neutral, as in :func:`merge_pushes`).  Per
-        receiver, the own entry is pinned to slot 0 and the freshest
-        ``view_size - 1`` other entries are retained (version ties evict
-        higher source ranks first).
+        winning ties and, among pushed copies, the later push.  Per
+        receiver, the freshest ``view_size - 1`` other entries are retained
+        (version ties evict higher source ranks first).  A rank's own slot 0
+        is kept as is: versions only grow at their owner, so every copy
+        elsewhere is at most as fresh, and the owner keeps ties.
+
+        Both orders are one ``argsort`` of packed int64 keys: the dedupe key
+        is ``(receiver, source, tag)`` with the existing entry's tag above
+        every push index, and the freshest copy of each pair is a
+        ``np.maximum.reduceat`` over ``(version, position)`` keys; the
+        eviction key is ``(receiver, age, source)`` with a 31-bit age.
         """
         num_ranks, m = self.num_ranks, self.view_size
-
-        # Candidate pool: existing entries first (lower priority bit wins
-        # version ties for the receiver's own copy).
+        num_pushes = push_src.shape[0]
+        rank_bits = int(num_ranks - 1).bit_length()
+        tag_bits = num_pushes.bit_length()
+        flat_src, flat_val, flat_ver = (
+            self._src.reshape(-1), self._val.reshape(-1), self._ver.reshape(-1)
+        )
+        # Candidates as flat slot indices: receivers' own non-self slots
+        # first, then every slot of every pushed view.
+        slot_ids = np.arange(num_ranks * m).reshape(num_ranks, m)
+        slots = np.concatenate([slot_ids[:, 1:].reshape(-1), slot_ids[push_src].reshape(-1)])
         recv = np.concatenate(
+            [np.repeat(np.arange(num_ranks), m - 1), np.repeat(push_dst, m)]
+        )
+        tag = np.concatenate(
             [
-                np.repeat(np.arange(num_ranks, dtype=np.int64), m),
-                np.repeat(push_dst.astype(np.int64), m),
+                np.full(num_ranks * (m - 1), (1 << tag_bits) - 1),
+                np.repeat(np.arange(num_pushes), m),
             ]
         )
-        src = np.concatenate([self._src.reshape(-1), self._src[push_src].reshape(-1)])
-        val = np.concatenate([self._val.reshape(-1), self._val[push_src].reshape(-1)])
-        ver = np.concatenate([self._ver.reshape(-1), self._ver[push_src].reshape(-1)])
-        existing = np.zeros(recv.size, dtype=bool)
-        existing[: num_ranks * m] = True
-
-        known = ver >= 0
-        recv, src, val, ver, existing = (
-            recv[known],
-            src[known],
-            val[known],
-            ver[known],
-            existing[known],
-        )
-        if recv.size == 0:
-            return
-
-        # Dedupe per (receiver, source): after the lexsort the last element
-        # of each group carries the max (version, existing) pair, i.e. the
-        # freshest version with receiver-keeps-ties semantics.
-        pair = recv * num_ranks + src
-        order = np.lexsort((existing, ver, pair))
-        pair_sorted = pair[order]
-        last = np.empty(pair_sorted.size, dtype=bool)
-        last[-1] = True
-        np.not_equal(pair_sorted[1:], pair_sorted[:-1], out=last[:-1])
-        winners = order[last]
-        recv, src, val, ver = recv[winners], src[winners], val[winners], ver[winners]
+        src, ver = flat_src[slots], flat_ver[slots]
+        cand = np.flatnonzero((ver >= 0) & (src != recv))
+        slots, recv, src, ver, tag = slots[cand], recv[cand], src[cand], ver[cand], tag[cand]
 
         new_src = np.full((num_ranks, m), -1, dtype=np.int64)
         new_val = np.zeros((num_ranks, m), dtype=float)
         new_ver = np.full((num_ranks, m), -1, dtype=np.int64)
-        new_src[:, 0] = np.arange(num_ranks)
+        new_src[:, 0] = self._src[:, 0]
+        new_val[:, 0] = self._val[:, 0]
+        new_ver[:, 0] = self._ver[:, 0]
+        if slots.size:
+            pair = (recv << rank_bits) | src
+            order = np.argsort((pair << tag_bits) | tag)
+            pair = pair[order]
+            first = np.empty(order.size, dtype=bool)
+            first[0] = True
+            np.not_equal(pair[1:], pair[:-1], out=first[1:])
+            pos_bits = int(order.size - 1).bit_length()
+            best = np.maximum.reduceat(
+                (ver[order] << pos_bits) | np.arange(order.size), np.flatnonzero(first)
+            )
+            win = order[best & ((1 << pos_bits) - 1)]
+            slots, recv = slots[win], recv[win]
 
-        self_mask = src == recv
-        self_recv = recv[self_mask]
-        new_val[self_recv, 0] = val[self_mask]
-        new_ver[self_recv, 0] = ver[self_mask]
-
-        other = ~self_mask
-        o_recv, o_src = recv[other], src[other]
-        o_val, o_ver = val[other], ver[other]
-        if o_recv.size:
-            # Freshest (view_size - 1) other entries per receiver: sort by
-            # (receiver, -version, source) and keep the first m-1 positions
-            # of each receiver group.
-            order = np.lexsort((o_src, -o_ver, o_recv))
-            recv_sorted = o_recv[order]
-            boundary = np.empty(recv_sorted.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(recv_sorted[1:], recv_sorted[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            group = np.cumsum(boundary) - 1
-            pos = np.arange(recv_sorted.size) - starts[group]
-            keep = pos < m - 1
-            kept = order[keep]
-            slot = pos[keep] + 1
-            new_src[o_recv[kept], slot] = o_src[kept]
-            new_val[o_recv[kept], slot] = o_val[kept]
-            new_ver[o_recv[kept], slot] = o_ver[kept]
+            age = (VERSION_LIMIT - 1) - ver[win]
+            order = np.argsort((((recv << 31) | age) << rank_bits) | src[win])
+            slots, recv = slots[order], recv[order]
+            first = np.empty(recv.size, dtype=bool)
+            first[0] = True
+            np.not_equal(recv[1:], recv[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            col = np.arange(1, recv.size + 1) - np.repeat(
+                starts, np.diff(starts, append=recv.size)
+            )
+            keep = col < m
+            slots, rows, col = slots[keep], recv[keep], col[keep]
+            new_src[rows, col] = flat_src[slots]
+            new_val[rows, col] = flat_val[slots]
+            new_ver[rows, col] = flat_ver[slots]
 
         self._src, self._val, self._ver = new_src, new_val, new_ver
 
@@ -793,10 +840,9 @@ class BatchGossipBoard:
     Bit-identical to ``R`` solo boards: each replica's peer selection
     consumes its own generator exactly like a solo
     :class:`GossipBoard` seeded the same way (one ``(P, P)`` uniform draw
-    per round), the stacked draws go through one vectorized batched
-    selection, and each replica's round merge applies the same
-    freshest-version rule as :func:`merge_pushes` (any winner difference on
-    version ties is value-neutral).
+    per round), the stacked draws go through the same target selection, and
+    one :func:`merge_pushes` call merges every replica's pushes over the
+    ``(R * P, P)`` flattened views (pushes never cross replicas).
 
     Parameters
     ----------
@@ -853,9 +899,7 @@ class BatchGossipBoard:
             raise ValueError(
                 f"values must be (replicas, ranks) = {expected}, got {values.shape}"
             )
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = _checked_version(version, self._steps)
         diag = np.arange(self.num_ranks)
         diag_versions = self._versions[:, diag, diag]
         rep_idx, rank_idx = np.nonzero(v >= diag_versions)
@@ -908,123 +952,37 @@ class BatchGossipBoard:
 
         With the (default) ``random`` topology, per replica the RNG
         consumption matches a solo board exactly (one ``(P, P)`` uniform
-        draw); the selection of every replica's targets is one stacked
-        vectorized pass over the ``(R, P, P)`` keys, and the merges run per
-        replica on shared pre-packed versions (cache-resident ``(P, P)``
-        operands).  The deterministic ``ring`` / ``hypercube`` topologies
-        share one edge list across all replicas (no RNG), exactly like the
-        solo board, so batch replicas stay bit-identical to solo boards
-        under every topology.
+        draw), and the targets of every replica come from one selection
+        pass over the stacked ``(R, P, P)`` keys.  The deterministic
+        ``ring`` / ``hypercube`` topologies share one edge list across all
+        replicas (no RNG), exactly like the solo board, so batch replicas
+        stay bit-identical to solo boards under every topology.
         """
-        num_ranks = self.num_ranks
-        if num_ranks > 1 and self.config.topology != "random":
-            src, dst = topology_push_targets(
-                self._steps, num_ranks, self.config.fanout, self.config.topology
-            )
-            if src.size:
-                shift = max(1, int(src.shape[0] - 1).bit_length())
-                packed = np.left_shift(self._versions, shift)
-                entry = np.arange(num_ranks)
-                for rep in range(self.num_replicas):
-                    self._merge_replica(rep, src, dst, packed[rep], shift, entry)
-            self._steps += 1
-            return
+        num_ranks, replicas = self.num_ranks, self.num_replicas
         if num_ranks > 1:
-            k = min(self.config.fanout, num_ranks - 1)
-            keys = np.stack(
-                [rng.random((num_ranks, num_ranks)) for rng in self._rngs]
-            )
-            diag = np.arange(num_ranks)
-            keys[:, diag, diag] = np.inf
-            if k <= 3:
-                # k repeated argmin passes select exactly the k smallest
-                # keys per lane (the same set argpartition yields, in a
-                # different order -- which push is enumerated first only
-                # affects value-neutral merge tie-breaks).  Vectorized mins
-                # are several times faster than introselect here.
-                mins = []
-                for _ in range(k):
-                    low = keys.argmin(axis=2)
-                    mins.append(low)
-                    np.put_along_axis(keys, low[:, :, None], np.inf, axis=2)
-                targets = np.stack(mins, axis=2)
+            if self.config.topology == "random":
+                keys = np.stack([rng.random((num_ranks, num_ranks)) for rng in self._rngs])
+                diag = np.arange(num_ranks)
+                keys[:, diag, diag] = np.inf
+                k = min(self.config.fanout, num_ranks - 1)
+                targets = _smallest_k(keys.reshape(-1, num_ranks), k)
+                src, dst = _random_push_edges(
+                    targets.reshape(replicas, num_ranks, k), self.config.include_root
+                )
             else:
-                targets = np.argpartition(keys, k - 1, axis=2)[:, :, :k]
-
-            # Per-replica local edges: the fanout sources are the same for
-            # every replica, only the targets differ.  Versions are packed
-            # once for the whole batch ((version << s) | edge index), and
-            # each replica merges inside its own (P, P) board -- small
-            # enough to stay cache-resident, which measures faster than one
-            # flattened (R*P, P) merge over megabyte-sized operands.
-            src = np.repeat(np.arange(num_ranks, dtype=np.intp), k)
-            max_edges = src.shape[0] + (
-                num_ranks if self.config.include_root else 0
-            )
-            shift = max(1, int(max_edges - 1).bit_length())
-            packed = np.left_shift(self._versions, shift)
-            entry = np.arange(num_ranks)
-            for rep in range(self.num_replicas):
-                rep_src = src
-                rep_dst = targets[rep].reshape(-1).astype(np.intp)
-                if self.config.include_root:
-                    missing = np.flatnonzero(~(targets[rep] == 0).any(axis=1))
-                    missing = missing[missing != 0]
-                    if missing.size:
-                        rep_src = np.concatenate([src, missing.astype(np.intp)])
-                        rep_dst = np.concatenate(
-                            [rep_dst, np.zeros(missing.size, dtype=np.intp)]
-                        )
-                self._merge_replica(rep, rep_src, rep_dst, packed[rep], shift, entry)
+                src, dst = topology_push_targets(
+                    self._steps, num_ranks, self.config.fanout, self.config.topology
+                )
+                base = np.repeat(np.arange(replicas) * num_ranks, src.size)
+                src, dst = np.tile(src, replicas) + base, np.tile(dst, replicas) + base
+            if src.size:
+                merge_pushes(
+                    self._values.reshape(-1, num_ranks),
+                    self._versions.reshape(-1, num_ranks),
+                    src,
+                    dst,
+                )
         self._steps += 1
-
-    def _merge_replica(
-        self,
-        rep: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        packed: np.ndarray,
-        shift: int,
-        entry: np.ndarray,
-    ) -> None:
-        """One replica's grouped freshest-version merge.
-
-        Same semantics as :func:`merge_pushes` (per-receiver freshest
-        version; equal-version winners are value-identical) with a cheaper
-        key scheme for the batch hot loop: versions arrive pre-shifted
-        (``packed``), the packed key is ``(version << s) | edge_index``,
-        and unpacking is two bit operations instead of an int64 division
-        and modulo.  Shift-packing preserves the lexicographic (version,
-        edge) order, so merged versions are identical to
-        :func:`merge_pushes` and any winner difference on version ties is
-        value-neutral.
-        """
-        num_pushes = src.shape[0]
-        versions = self._versions[rep]
-        values = self._values[rep]
-
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = dst[order]
-        boundaries = np.empty(num_pushes, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(dst_sorted[1:], dst_sorted[:-1], out=boundaries[1:])
-        group_starts = np.flatnonzero(boundaries)
-        receivers = dst_sorted[group_starts]
-        src_sorted = src[order]
-
-        keys = packed[src_sorted]
-        keys += np.arange(num_pushes, dtype=np.int64)[:, None]
-        best = np.maximum.reduceat(keys, group_starts, axis=0)
-        incoming_ver = best >> shift
-
-        current_ver = versions[receivers]
-        improved = incoming_ver > current_ver
-        if not improved.any():
-            return
-        winner = best & ((1 << shift) - 1)
-        incoming_val = values[src_sorted[winner], entry]
-        values[receivers] = np.where(improved, incoming_val, values[receivers])
-        versions[receivers] = np.where(improved, incoming_ver, current_ver)
 
     def _check_indices(self, replica: int, rank: int) -> None:
         if not 0 <= replica < self.num_replicas:

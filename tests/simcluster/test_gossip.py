@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcluster.gossip import GossipBoard, GossipConfig
+from repro.simcluster.gossip import (
+    VERSION_LIMIT,
+    BatchGossipBoard,
+    GossipBoard,
+    GossipConfig,
+    SparseGossipBoard,
+)
 
 
 class TestGossipConfig:
@@ -337,3 +344,43 @@ class TestVectorizedAgainstReferenceBoard:
 
         with pytest.raises(ValueError):
             board.publish_all(np.zeros(2), version=-3)
+
+
+def _dense_board():
+    return GossipBoard(8, seed=0)
+
+
+def _sparse_board():
+    return SparseGossipBoard(8, config=GossipConfig(mode="sparse", view_size=4), seed=0)
+
+
+class TestVersionLimit:
+    """Published versions must leave room in the merges' packed int64 keys."""
+
+    @pytest.mark.parametrize("make", [_dense_board, _sparse_board])
+    @pytest.mark.parametrize("version", [2**31, 2**59])
+    def test_versions_at_or_above_limit_rejected(self, make, version):
+        board = make()
+        with pytest.raises(ValueError, match="version"):
+            board.publish_all(np.ones(8), version=version)
+        with pytest.raises(ValueError, match="version"):
+            board.publish(0, 1.0, version=version)
+
+    def test_batch_board_rejects_versions_at_or_above_limit(self):
+        with pytest.raises(ValueError, match="version"):
+            BatchGossipBoard(8, [0, 1]).publish_all(np.ones((2, 8)), version=2**59)
+
+    def test_largest_version_disseminates_intact(self):
+        # Regression: a version near 2**59 overflowed the dense merge's
+        # ``version * num_pushes`` key and left unknown (-1) entries behind.
+        dense, batch, sparse = _dense_board(), BatchGossipBoard(8, [0, 1]), _sparse_board()
+        dense.publish_all(np.arange(8.0), version=VERSION_LIMIT - 1)
+        batch.publish_all(np.arange(16.0).reshape(2, 8), version=VERSION_LIMIT - 1)
+        sparse.publish_all(np.arange(8.0), version=VERSION_LIMIT - 1)
+        for _ in range(40):
+            for board in (dense, batch, sparse):
+                board.step()
+        assert (dense._versions == VERSION_LIMIT - 1).all()
+        assert (batch._versions == VERSION_LIMIT - 1).all()
+        assert (sparse._ver == VERSION_LIMIT - 1).all()
+        assert dense.local_view(3) == {s: float(s) for s in range(8)}

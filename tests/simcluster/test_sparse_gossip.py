@@ -65,6 +65,13 @@ class TestGossipConfigValidation:
             SparseGossipBoard,
         )
 
+    def test_board_size_bounded_by_packed_merge_keys(self):
+        # The eviction key packs two ranks and a 31-bit age into an int64.
+        from repro.simcluster.gossip import SPARSE_RANK_LIMIT
+
+        with pytest.raises(ValueError, match="at most"):
+            SparseGossipBoard(SPARSE_RANK_LIMIT + 1)
+
 
 class TestTopologyTargets:
     def test_ring_neighbours(self):
