@@ -105,20 +105,27 @@ def run_batched(use_gossip):
     return runner.run(ITERATIONS)
 
 
-def _best_of(func, repetitions):
-    best = float("inf")
-    result = None
+def _best_of_alternating(funcs, repetitions):
+    """Best-of-N wall clock of each function, the functions alternating.
+
+    Alternating rep by rep spreads a slow phase of the host over every
+    side instead of letting it hit all reps of one of them.
+    """
+    best = [float("inf")] * len(funcs)
+    results = [None] * len(funcs)
     for _ in range(repetitions):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for i, func in enumerate(funcs):
+            start = time.perf_counter()
+            results[i] = func()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best, results
 
 
 def _measure(use_gossip, threshold, label):
     reps = 2 if SMOKE else 4
-    seq_time, seq_results = _best_of(lambda: run_sequential(use_gossip), reps)
-    batch_time, batch_result = _best_of(lambda: run_batched(use_gossip), reps)
+    (seq_time, batch_time), (seq_results, batch_result) = _best_of_alternating(
+        [lambda: run_sequential(use_gossip), lambda: run_batched(use_gossip)], reps
+    )
 
     # Same runs, same schedules: the batch engine is bit-identical.
     assert [r.num_lb_calls for r in seq_results] == batch_result.lb_calls().tolist()

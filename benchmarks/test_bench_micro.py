@@ -120,7 +120,10 @@ def test_bench_gossip_round(benchmark, num_ranks):
 # --------------------------------------------------------------------------
 
 OBS_ITERATIONS = 60 if SMOKE else 300
-OBS_REPS = 2 if SMOKE else 4
+#: Alternating off/on reps per side.  On a shared 2-vCPU VM single runs
+#: of this loop spread from 95 to 200 ms, so the best of 4 often missed the
+#: quiet floor on one side only; 8 alternating reps find it on both.
+OBS_REPS = 2 if SMOKE else 8
 #: Allowed profiled-on slowdown relative to the profiled-off run.  The
 #: probes are seven perf_counter_ns pairs per iteration against ms-scale
 #: iterations, so the true cost is well under a percent; the bound only
@@ -154,28 +157,35 @@ def _obs_bench_runner(profiler):
     )
 
 
-def _best_obs_wall(profiled: bool) -> float:
-    best = float("inf")
+def _best_obs_walls() -> "tuple[float, float]":
+    """Best-of-N wall clock with the profiler detached and attached.
+
+    The two modes alternate rep by rep, so a slow phase of the host (a
+    co-tenant burst lasting a second or two) lands on both sides instead
+    of on all reps of one of them.
+    """
+    best = {False: float("inf"), True: float("inf")}
     for _ in range(OBS_REPS):
-        runner = _obs_bench_runner(StageProfiler() if profiled else None)
-        start = time.perf_counter()
-        runner.run(OBS_ITERATIONS)
-        best = min(best, time.perf_counter() - start)
-    return best
+        for profiled in (False, True):
+            runner = _obs_bench_runner(StageProfiler() if profiled else None)
+            start = time.perf_counter()
+            runner.run(OBS_ITERATIONS)
+            best[profiled] = min(best[profiled], time.perf_counter() - start)
+    return best[False], best[True]
 
 
 def test_bench_obs_profiler_overhead():
     """Stage profiling of the P=64 gossip loop: cheap probes, >=90% coverage.
 
     Times the identical seeded workload with the profiler detached and
-    attached (best-of-N wall clock, interleave-free), records both
-    throughputs to ``BENCH_core.json``, and asserts the attached run stays
-    within :data:`OBS_ON_OVERHEAD_LIMIT` of the detached one.  The profiled
-    run must also attribute at least 90% of measured loop time to named
-    stages (80% in smoke mode) -- the acceptance bar for the probe layout.
+    attached (best-of-N wall clock, the two modes alternating rep by rep),
+    records both throughputs to ``BENCH_core.json``, and asserts the
+    attached run stays within :data:`OBS_ON_OVERHEAD_LIMIT` of the detached
+    one.  The profiled run must also attribute at least 90% of measured
+    loop time to named stages (80% in smoke mode) -- the acceptance bar for
+    the probe layout.
     """
-    off_wall = _best_obs_wall(profiled=False)
-    on_wall = _best_obs_wall(profiled=True)
+    off_wall, on_wall = _best_obs_walls()
 
     profiler = StageProfiler()
     _obs_bench_runner(profiler).run(OBS_ITERATIONS)

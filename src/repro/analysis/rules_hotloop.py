@@ -27,18 +27,13 @@ __all__ = ["HOT_REGIONS", "HotLoopPythonLoopRule", "HotLoopCopyRule", "HotLoopAl
 
 #: file (package-relative) -> {qualified function name -> "loop" | "body"}.
 HOT_REGIONS: Dict[str, Dict[str, str]] = {
-    "repro/runtime/skeleton.py": {
-        "IterativeRunner.run": "loop",
-        "IterativeRunner._stripe_loads": "body",
-        "IterativeRunner._build_context": "body",
-    },
     "repro/batch/runner.py": {
         "BatchRunner.run": "loop",
         "BatchRunner._stripe_loads": "body",
         "BatchRunner._stripe_loads_all": "body",
         "BatchRunner._fill_columns": "body",
         "BatchRunner._build_context": "body",
-        "BatchRunner._execute_lb_step": "body",
+        "BatchRunner._execute_lb_steps": "body",
     },
 }
 

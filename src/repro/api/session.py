@@ -27,10 +27,7 @@ runner internals, and :meth:`run` returns a structured
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.batch.result import BatchResult
+from typing import Callable, Optional, Sequence
 
 from repro.api.config import ObsConfig, RunConfig, RunnerConfig, TopologyConfig
 from repro.api.events import (
@@ -44,6 +41,7 @@ from repro.api.events import (
     LBStepEvent,
     PhaseEvent,
 )
+from repro.batch import BatchResult, BatchRunner
 from repro.lb.base import TriggerPolicy, WorkloadPolicy
 from repro.lb.centralized import LBStepReport
 from repro.obs.clock import wall_clock, wall_clock_ns
@@ -327,7 +325,7 @@ class Session:
             "run/iteration_elapsed_s", result.trace.iteration_time_series()
         )
 
-    def _record_batch_metrics(self, result: "BatchResult", iterations: int) -> None:
+    def _record_batch_metrics(self, result: BatchResult, iterations: int) -> None:
         """Fold a batched run's outcome into the metrics registry."""
         registry = self.metrics
         if registry is None:
@@ -348,7 +346,7 @@ class Session:
         self,
         seeds: Optional[Sequence[int]] = None,
         iterations: Optional[int] = None,
-    ) -> "BatchResult":
+    ) -> BatchResult:
         """Run ``R`` seeded replicas of this config in one vectorized pass.
 
         Builds the replica-batched engine (:class:`repro.batch.BatchRunner`)
@@ -373,11 +371,8 @@ class Session:
         >>> batch.aggregate()["replicas"]                      # doctest: +SKIP
         3
         """
-        # Imported lazily for the same layering reason as from_config: the
-        # batch engine consumes the scenario layer, which consumes this
-        # package.
+        # Imported lazily for the same layering reason as from_config.
         import repro.scenarios  # noqa: F401  -- populates the scenario registry
-        from repro.batch import BatchRunner
         from repro.scenarios.base import ScenarioSpec
         from repro.scenarios.registry import get_scenario
 

@@ -1,11 +1,12 @@
-"""Structured outcome of one replica-batched run.
+"""Structured outcomes of one run and of one replica-batched run.
 
-The paper's figures are replica-averaged curves with confidence bands;
-:class:`BatchResult` therefore keeps both layers: the full per-replica
-:class:`~repro.runtime.skeleton.RunResult` objects (each bit-identical to a
-solo run with that replica's seed) and the cross-replica aggregates --
-means and normal-approximation confidence intervals over scalar outcomes,
-plus replica-stacked and replica-averaged trajectories.
+:class:`RunResult` is what one replica of Algorithm 1 produced: its trace
+and its LB reports.  The paper's figures are replica-averaged curves with
+confidence bands; :class:`BatchResult` therefore keeps both layers: the
+full per-replica :class:`RunResult` objects (each bit-identical to a solo
+run with that replica's seed) and the cross-replica aggregates -- means and
+normal-approximation confidence intervals over scalar outcomes, plus
+replica-stacked and replica-averaged trajectories.
 """
 
 from __future__ import annotations
@@ -15,13 +16,61 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.skeleton import RunResult
+from repro.lb.centralized import LBStepReport
+from repro.simcluster.tracing import ClusterTrace
 from repro.utils.stats import mean_confidence_interval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is optional)
     from repro.obs.profiler import StageProfile
 
-__all__ = ["BatchResult"]
+__all__ = ["BatchResult", "RunResult"]
+
+
+@dataclass
+class RunResult:
+    """Outcome of one run (or of one replica of a batch)."""
+
+    #: Execution trace (iteration times, utilization, LB events).
+    trace: ClusterTrace
+    #: Reports of every LB step that was executed.
+    lb_reports: List[LBStepReport] = field(default_factory=list)
+    #: Name of the workload policy that was used.
+    policy_name: str = ""
+    #: Name of the trigger policy that was used.
+    trigger_name: str = ""
+    #: Wall-clock stage attribution of the run
+    #: (:class:`~repro.obs.profiler.StageProfile`); ``None`` unless the
+    #: runner was built with a profiler.
+    profile: "Optional[StageProfile]" = None
+
+    # ------------------------------------------------------------------
+    @property
+    def total_time(self) -> float:
+        """Total virtual time of the run (seconds)."""
+        return self.trace.total_time
+
+    @property
+    def num_lb_calls(self) -> int:
+        """Number of LB invocations."""
+        return self.trace.num_lb_calls
+
+    @property
+    def mean_utilization(self) -> float:
+        """Time-weighted average PE utilization."""
+        return self.trace.mean_utilization()
+
+    def utilization_series(self) -> np.ndarray:
+        """Per-iteration average PE utilization (Fig. 4b series)."""
+        return self.trace.utilization_series()
+
+    def summary(self) -> dict:
+        """Plain-dictionary summary for experiment tables."""
+        info = self.trace.summary()
+        info.update(
+            policy=self.policy_name,
+            trigger=self.trigger_name,
+        )
+        return info
 
 
 @dataclass

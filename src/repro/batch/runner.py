@@ -1,10 +1,9 @@
-"""The replica-batched execution engine.
+"""The execution engine: Algorithm 1 over ``R`` seeded replicas.
 
 Campaigns and figure drivers average every curve over seeded repetitions:
 the same configuration runs ``R`` times with different seeds and only the
-replica-averaged trajectories reach the plots.  Before this engine each
-repetition re-ran the full Python hot loop; :class:`BatchRunner` runs all
-``R`` replicas in a *single* vectorized pass instead:
+replica-averaged trajectories reach the plots.  :class:`BatchRunner` runs
+all ``R`` replicas in a *single* vectorized pass:
 
 * the per-PE state is one ``(R, P)``
   :class:`~repro.simcluster.pe.PEStateArrays` -- a compute phase is one
@@ -17,12 +16,17 @@ repetition re-ran the full Python hot loop; :class:`BatchRunner` runs all
 
 Control flow that genuinely diverges per replica -- the LB trigger decision,
 the centralized LB step, partitions -- stays per-replica, running the
-*existing* solo components against NumPy row views of the shared state.
-That is what makes the engine exactly equivalent: replica ``r`` of a batch
-is bit-identical to a solo :class:`~repro.runtime.skeleton.IterativeRunner`
-run with seed ``seeds[r]`` (the equivalence guard in
-``tests/batch/test_batch_equivalence.py`` asserts it), while the shared
-per-iteration work no longer scales with ``R`` in Python-call terms.
+per-replica components against NumPy row views of the shared state; the
+LB steps of the replicas that fire in the same iteration share one stacked
+policy decision and one partitioning pass
+(:meth:`~repro.lb.centralized.CentralizedLoadBalancer.execute_many`).
+Replicas share no state, so replica ``r`` of an ``R``-replica batch is
+bit-identical to a one-replica run with seed ``seeds[r]``
+(``tests/batch/test_batch_equivalence.py``).  A solo run *is* a
+one-replica batch: :class:`~repro.runtime.skeleton.IterativeRunner` builds
+one over the caller's cluster, and the frozen loop implementation in
+``tests/runtime/reference_core.py`` is the independent oracle for both
+(``tests/runtime/test_golden_equivalence.py``).
 
 **Memory model.**  The dominant state of a dense-gossip batch is the
 ``(R, P, P)`` board -- 16 bytes per entry, so 16 replicas at ``P = 1024``
@@ -42,11 +46,11 @@ memory cliff long before the CPU saturates.  Two escape hatches compose:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.batch.result import BatchResult
+from repro.batch.result import BatchResult, RunResult
 from repro.lb.adaptive import DegradationTrigger, ULBADegradationTrigger
 from repro.lb.base import LBContext, TriggerPolicy, WorkloadPolicy
 from repro.lb.centralized import CentralizedLoadBalancer, LBStepReport
@@ -54,8 +58,6 @@ from repro.lb.standard import StandardPolicy
 from repro.lb.wir import BatchWIRDatabase, OverloadDetector, WIREstimateArray
 from repro.partitioning.stripe import StripePartition, StripePartitioner
 from repro.obs.clock import wall_clock
-from repro.runtime.degradation import BatchDegradationTracker
-from repro.runtime.skeleton import RunResult, StripedApplication
 from repro.simcluster.cluster import VirtualCluster
 from repro.simcluster.comm import CommCostModel
 from repro.simcluster.gossip import GossipConfig
@@ -67,7 +69,106 @@ from repro.utils.validation import check_non_negative, check_positive, check_pos
 if TYPE_CHECKING:  # pragma: no cover - typing-only (obs stays optional)
     from repro.obs.profiler import StageProfiler
 
-__all__ = ["BatchRunner"]
+__all__ = ["BatchDegradationTracker", "BatchRunner", "StripedApplication"]
+
+
+@runtime_checkable
+class StripedApplication(Protocol):
+    """What the runner needs from an application.
+
+    The application owns a 1-D-decomposable workload (per-column loads) and
+    a dynamics step; it knows nothing about PEs, partitions or load
+    balancing.
+    """
+
+    #: FLOP charged per unit of column load (converts loads to compute work).
+    flop_per_load_unit: float
+
+    @property
+    def num_columns(self) -> int:
+        """Number of domain columns."""
+        ...
+
+    def column_loads(self) -> np.ndarray:
+        """Current workload weight of every column."""
+        ...
+
+    def advance(self) -> None:
+        """Advance the application dynamics by one iteration."""
+        ...
+
+
+class BatchDegradationTracker:
+    """``R`` degradation accumulators advanced with one vectorized update.
+
+    The engine observes every replica's iteration time at once; all
+    tracker state lives in ``(R,)`` vectors and one :meth:`observe`
+    performs the window-3 median smoothing and accumulation elementwise --
+    the same IEEE operations per lane as ``R`` scalar
+    :class:`~repro.runtime.degradation.DegradationTracker` instances (the
+    scalar ``rolling_median`` fast paths for windows of 1/2/3 are pure
+    min/max/mean arithmetic), so the accumulated degradations are
+    bit-identical.  Only the paper's window of 3 is supported.
+    """
+
+    def __init__(self, replicas: int) -> None:
+        check_positive_int(replicas, "replicas")
+        self.replicas = replicas
+        self.window = 3
+        self._recent = np.zeros((replicas, 3), dtype=float)
+        self._count = np.zeros(replicas, dtype=np.int64)
+        self._reference = np.zeros(replicas, dtype=float)
+        self._has_reference = np.zeros(replicas, dtype=bool)
+        self._degradation = np.zeros(replicas, dtype=float)
+
+    # ------------------------------------------------------------------
+    def degradation_of(self, replica: int) -> float:
+        """Accumulated degradation of one replica (seconds)."""
+        return float(self._degradation[replica])
+
+    def iterations_since_reset(self, replica: int) -> int:
+        """Iterations one replica has observed since its last reset."""
+        return int(self._count[replica])
+
+    def observe(self, iteration_times: np.ndarray) -> np.ndarray:
+        """Record every replica's iteration time; returns the degradations."""
+        times = np.asarray(iteration_times, dtype=float)
+        if times.shape != (self.replicas,):
+            raise ValueError(
+                f"iteration_times must have shape ({self.replicas},), "
+                f"got {times.shape}"
+            )
+        if (times < 0).any():
+            raise ValueError("iteration_times must all be >= 0")
+        # Slide the window (column 2 = newest observation).
+        self._recent[:, 0] = self._recent[:, 1]
+        self._recent[:, 1] = self._recent[:, 2]
+        self._recent[:, 2] = times
+        np.copyto(self._reference, times, where=~self._has_reference)
+        self._has_reference[:] = True
+        self._count += 1
+
+        a = self._recent[:, 0]
+        b = self._recent[:, 1]
+        c = self._recent[:, 2]
+        # rolling_median's scalar fast paths, elementwise per lane.
+        median3 = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+        median2 = (b + c) / 2.0
+        smoothed = np.where(
+            self._count >= 3, median3, np.where(self._count == 2, median2, c)
+        )
+        self._degradation += smoothed - self._reference
+        return self._degradation
+
+    def reset_replica(self, replica: int) -> None:
+        """Reset one replica after its LB step (next time = new reference)."""
+        if not 0 <= replica < self.replicas:
+            raise ValueError(f"replica {replica} outside [0, {self.replicas})")
+        self._recent[replica] = 0.0
+        self._count[replica] = 0
+        self._reference[replica] = 0.0
+        self._has_reference[replica] = False
+        self._degradation[replica] = 0.0
 
 
 class BatchRunner:
@@ -78,21 +179,35 @@ class BatchRunner:
     num_pes:
         PEs per replica (every replica runs on the same cluster size).
     applications:
-        One :class:`~repro.runtime.skeleton.StripedApplication` per replica
-        (typically the same scenario built for ``R`` different seeds).  All
-        replicas must expose the same number of columns.
+        One :class:`StripedApplication` per replica (typically the same
+        scenario built for ``R`` different seeds).  All replicas must expose
+        the same number of columns.
     seeds:
         One gossip seed per replica; replica ``r`` consumes it exactly like
-        a solo runner constructed with ``seed=seeds[r]``.
+        a one-replica runner constructed with ``seeds=[seeds[r]]``.
     workload_policies / trigger_policies:
         Per-replica policy instances (policies carry state, so replicas must
-        not share them); ``None`` creates the solo runner's defaults.
+        not share them); ``None`` creates
+        :class:`~repro.lb.standard.StandardPolicy` and
+        :class:`~repro.lb.adaptive.DegradationTrigger` instances.
     initial_lb_cost_estimates:
-        Per-replica LB-cost prior in seconds (or one scalar for all).
-    pe_speed, cost_model, use_gossip, gossip_config, wir_smoothing,
-    partition_flop_per_column, bytes_per_load_unit:
-        As on :class:`~repro.runtime.skeleton.IterativeRunner`, shared by
-        every replica.
+        Per-replica LB cost in seconds assumed before the first LB call
+        provides a measurement (or one scalar for all); keeps the
+        degradation trigger from firing on the very first nonzero
+        degradation when set > 0.
+    pe_speed, cost_model:
+        Speed and interconnect of every replica's virtual cluster.
+    use_gossip, gossip_config:
+        Gossip (one round per iteration) or instant WIR dissemination, and
+        the :class:`~repro.simcluster.gossip.GossipConfig` of the gossip
+        substrate (``mode="sparse"`` bounds the board for large clusters).
+    wir_smoothing, partition_flop_per_column, bytes_per_load_unit:
+        WIR estimator smoothing and LB cost-model knobs.
+    cluster:
+        Run the single replica (``R`` must be 1) on this caller-owned
+        :class:`~repro.simcluster.cluster.VirtualCluster`: the ``(1, P)``
+        state is a view of its vectors, its trace records the run, and
+        ``pe_speed`` / ``cost_model`` come from it.
     memory_budget_bytes:
         Upper bound on the peak gossip state of one sub-batch (resident
         board plus the per-round merge transients, which are equally
@@ -106,14 +221,18 @@ class BatchRunner:
         Optional :class:`~repro.obs.profiler.StageProfiler` timing the
         named hot-loop stages (``compute_step`` / ``advance`` /
         ``stripe_sum`` / ``wir_update`` / ``gossip_round`` / ``lb_decide``
-        / ``lb_apply`` -- the same names the solo runner uses, so solo and
-        batch snapshots merge).  Chunked runs share one profiler across
+        / ``lb_apply``).  Chunked runs share one profiler across
         every sub-batch.  ``None`` (default) disables all probes.
     on_chunk:
         Optional callback ``(chunk, num_chunks, replicas, wall_time)``
         invoked after each completed sub-batch (once with ``(0, 1, R,
         wall)`` for an unchunked run); the session turns these into
         ``"batch_chunk"`` events.
+    on_iteration / on_lb_step:
+        Optional observers called as ``on_iteration(iteration, elapsed)``
+        after every iteration (``elapsed``: the ``(R,)`` iteration times)
+        and ``on_lb_step(replica, iteration, report)`` after every LB step.
+        Unchunked runs only.
 
     Example
     -------
@@ -145,12 +264,23 @@ class BatchRunner:
         memory_budget_bytes: Optional[float] = None,
         profiler: "Optional[StageProfiler]" = None,
         on_chunk: Optional[Callable[[int, int, int, float], None]] = None,
+        cluster: Optional[VirtualCluster] = None,
+        on_iteration: Optional[Callable[[int, np.ndarray], None]] = None,
+        on_lb_step: Optional[Callable[[int, int, LBStepReport], None]] = None,
     ) -> None:
         check_positive_int(num_pes, "num_pes")
         check_positive(pe_speed, "pe_speed")
         replicas = len(applications)
         if replicas == 0:
             raise ValueError("applications must name at least one replica")
+        if cluster is not None:
+            if replicas != 1 or cluster.size != num_pes:
+                raise ValueError(
+                    "a caller-owned cluster runs exactly one replica of "
+                    f"its own size ({cluster.size} PEs)"
+                )
+            pe_speed = cluster.pe_speed
+            cost_model = cluster.comm.cost_model
         if len(seeds) != replicas:
             raise ValueError(
                 f"need one seed per replica: {replicas} applications, "
@@ -208,6 +338,9 @@ class BatchRunner:
         self._num_columns = num_columns
         self._profiler = profiler
         self._on_chunk = on_chunk
+        self._cluster = cluster
+        self._on_iteration = on_iteration
+        self._on_lb_step = on_lb_step
 
         if memory_budget_bytes is not None:
             check_positive(memory_budget_bytes, "memory_budget_bytes")
@@ -225,6 +358,8 @@ class BatchRunner:
         #: Number of sequential sub-batches :meth:`run` will execute.
         self.num_chunks = -(-replicas // chunk)
         if self.num_chunks > 1:
+            if on_iteration is not None or on_lb_step is not None:
+                raise ValueError("observers need an unchunked run")
             # Deferred construction: each chunk builds (and frees) its own
             # engine inside run(), so the resident board state never
             # exceeds the budget.
@@ -239,13 +374,12 @@ class BatchRunner:
         """Peak gossip-state bytes one replica adds to the batch.
 
         Dense gossip costs ``P * P * 32`` bytes per replica: the resident
-        ``(R, P, P)`` value/version board (16 bytes per entry) **plus** the
-        equally quadratic per-round transients of
-        :meth:`~repro.simcluster.gossip.BatchGossipBoard.step` -- the
-        stacked ``(R, P, P)`` float64 key draw and the ``(R, P, P)`` int64
-        shift-packed versions allocate another 16 bytes per entry at the
-        peak of every dissemination round, so budgeting the board alone
-        would overshoot the requested ceiling by ~2x.  Sparse gossip is the
+        ``(R, P, P)`` value/version board (16 bytes per entry) **plus** as
+        much again for the equally quadratic per-round transients of
+        :meth:`~repro.simcluster.gossip.BatchGossipBoard.step` (the
+        ``(R, P, P)`` float64 key draw of the peer selection, freed before
+        the merge), so budgeting the board alone would overshoot the
+        requested ceiling.  Sparse gossip is the
         resident ``P * view_size * 24`` (its merge transients are one
         replica's worth regardless of ``R``: sparse boards step
         sequentially); instant dissemination keeps only ``(R, P)`` rows.
@@ -267,19 +401,28 @@ class BatchRunner:
         cost_model = self._cost_model
         num_columns = self._num_columns
 
-        #: Shared ``(R, P)`` PE state of every replica.
-        self.state = PEStateArrays(num_pes, pe_speed, replicas=replicas)
+        #: Shared ``(R, P)`` PE state of every replica (on a caller-owned
+        #: cluster, a view of its ``(P,)`` vectors).
+        self.state = (
+            PEStateArrays(num_pes, pe_speed, replicas=replicas)
+            if self._cluster is None
+            else self._cluster.state.as_batch()
+        )
         #: Per-replica cluster facades over the shared state rows (each with
         #: its own trace and comm counters; LB steps charge through these).
-        self.clusters: List[VirtualCluster] = [
-            VirtualCluster(
-                num_pes,
-                pe_speed=pe_speed,
-                cost_model=cost_model,
-                state=self.state.replica_view(r),
-            )
-            for r in range(replicas)
-        ]
+        self.clusters: List[VirtualCluster] = (
+            [
+                VirtualCluster(
+                    num_pes,
+                    pe_speed=pe_speed,
+                    cost_model=cost_model,
+                    state=self.state.replica_view(r),
+                )
+                for r in range(replicas)
+            ]
+            if self._cluster is None
+            else [self._cluster]
+        )
         self.wir_db = BatchWIRDatabase(
             num_pes,
             self.seeds,
@@ -370,7 +513,6 @@ class BatchRunner:
     def _starts_of(partition: StripePartition) -> Optional[np.ndarray]:
         """reduceat start offsets of a partition, or None when degenerate.
 
-        Mirrors the solo runner's ``_stripe_loads`` fast/slow path split:
         ``None`` flags a partition with empty stripes, which ``reduceat``
         mishandles and the prefix-sum fallback serves instead.
         """
@@ -381,7 +523,7 @@ class BatchRunner:
         return None
 
     def _stripe_loads(self, replica: int, column_loads: np.ndarray) -> np.ndarray:
-        """Per-stripe workload sums of one replica (solo-identical)."""
+        """Per-stripe workload sums of one replica."""
         starts = self._stripe_starts[replica]
         if starts is not None:
             return np.add.reduceat(column_loads, starts)
@@ -391,8 +533,8 @@ class BatchRunner:
         prefix = np.concatenate(([0.0], np.cumsum(column_loads)))
         return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
-    def _refresh_concat_starts(self) -> None:
-        """Rebuild the concatenated reduceat offsets of all replicas.
+    def _refresh_concat_starts(self, replica: Optional[int] = None) -> None:
+        """Rebuild the concatenated reduceat offsets (of one ``replica``).
 
         One ``np.add.reduceat`` over the flattened ``(R * C,)`` column
         buffer computes every replica's stripe sums at once; segment sums
@@ -400,7 +542,13 @@ class BatchRunner:
         reduceats.  Degenerate partitions (empty stripes) disable the
         concatenation and fall back to the per-replica path.
         """
-        if all(starts is not None for starts in self._stripe_starts):
+        changed = None if replica is None else self._stripe_starts[replica]
+        if changed is not None and self._concat_starts is not None:
+            offset = replica * self.num_pes
+            self._concat_starts[offset : offset + self.num_pes] = (
+                changed + replica * self._num_columns
+            )
+        elif all(starts is not None for starts in self._stripe_starts):
             columns = self._num_columns
             self._concat_starts = np.concatenate(
                 [
@@ -454,38 +602,60 @@ class BatchRunner:
         )
 
     # ------------------------------------------------------------------
-    def _execute_lb_step(
+    def _execute_lb_steps(
         self,
-        r: int,
+        replicas: List[int],
         iteration: int,
         new_stripe_loads: np.ndarray,
         stripe_loads: np.ndarray,
         lb_reports: List[List[LBStepReport]],
-        context: Optional[LBContext] = None,
+        contexts: Optional[List[LBContext]] = None,
     ) -> None:
-        """Run one replica's centralized LB step (solo-identical sequence)."""
-        if context is None:
-            context = self._build_context(r, iteration, new_stripe_loads[r])
-        report = self.load_balancers[r].execute(
-            context,
-            self._cols_buf[r],
-            current_partition=self.partitions[r],
+        """Run the centralized LB steps of the replicas whose trigger fired.
+
+        The steps of one iteration execute together
+        (:meth:`CentralizedLoadBalancer.execute_many` vectorizes the policy
+        decisions and the partitioning across them); every replica's report
+        and state equal those of its own one-replica run.
+        """
+        balancers: List[CentralizedLoadBalancer] = []
+        partitions: List[StripePartition] = []
+        build = contexts is None
+        if build:
+            contexts = []
+        # repro: noqa[HOT001] -- gathers the fired replicas' LB inputs; runs only in iterations where a degradation trigger fired
+        for r in replicas:
+            balancers.append(self.load_balancers[r])
+            partitions.append(self.partitions[r])
+            if build:
+                contexts.append(self._build_context(r, iteration, new_stripe_loads[r]))
+        reports = CentralizedLoadBalancer.execute_many(
+            balancers, contexts, self._cols_buf[replicas], partitions
         )
-        lb_reports[r].append(report)
-        self.partitions[r] = report.partition
-        self._stripe_starts[r] = self._starts_of(report.partition)  # repro: noqa[FLOW-HOT] -- O(P) starts vector rebuilt once per LB step, not per iteration
-        self._refresh_concat_starts()  # repro: noqa[FLOW-HOT] -- concatenated starts cache rebuilt once per LB step, not per iteration
-        self._last_lb_iteration[r] = iteration + 1
-        self._last_lb_arr[r] = iteration + 1
-        if self._trigger_fast_mode is not None:
-            self._avg_cost_buf[r] = self._average_lb_cost(r)
-        self.degradation.reset_replica(r)
-        self.trigger_policies[r].notify_balanced(context)
-        rebalanced = self._stripe_loads(r, self._cols_buf[r])
+        # repro: noqa[HOT001] -- records the fired replicas' LB outcomes; runs only in iterations where a degradation trigger fired
+        for r, context, report in zip(replicas, contexts, reports):
+            lb_reports[r].append(report)
+            if self._on_lb_step is not None:
+                self._on_lb_step(r, iteration, report)
+            self.partitions[r] = report.partition
+            self._last_lb_iteration[r] = iteration + 1
+            self._last_lb_arr[r] = iteration + 1
+            if self._trigger_fast_mode is not None:
+                self._avg_cost_buf[r] = self._average_lb_cost(r)
+            self.degradation.reset_replica(r)
+            self.trigger_policies[r].notify_balanced(context)
+        self._refresh_stripe_starts(replicas)  # repro: noqa[FLOW-HOT] -- O(P) starts vectors rebuilt per fired replica at LB steps, not per iteration
+        rebalanced = self._stripe_loads_all()[replicas]
         self.wir_estimates.reset_replica_after_migration(
-            r, rebalanced * self.applications[r].flop_per_load_unit
+            replicas, rebalanced * self._flop_per_load[replicas]
         )
-        stripe_loads[r] = rebalanced
+        stripe_loads[replicas] = rebalanced
+
+    def _refresh_stripe_starts(self, replicas: List[int]) -> None:
+        """Recompute the reduceat offsets of repartitioned replicas."""
+        for r in replicas:
+            self._stripe_starts[r] = self._starts_of(self.partitions[r])
+            self._refresh_concat_starts(r)
 
     # ------------------------------------------------------------------
     def _run_chunked(self, iterations: int) -> BatchResult:
@@ -548,6 +718,7 @@ class BatchRunner:
         flop_per_load = np.asarray(
             [app.flop_per_load_unit for app in self.applications], dtype=float
         )[:, None]
+        self._flop_per_load = flop_per_load
 
         lb_reports: List[List[LBStepReport]] = [[] for _ in range(R)]
         # Deferred per-iteration trace buffers (one bulk write per run
@@ -557,12 +728,15 @@ class BatchRunner:
         timestamp_buf = np.empty((iterations, R), dtype=float)
 
         fast_mode = self._trigger_fast_mode
+        on_iteration = self._on_iteration
         self._fill_columns()
         stripe_loads = self._stripe_loads_all()
+        if (stripe_loads < 0).any():
+            raise ValueError("stripe loads must all be >= 0")
 
-        # Hot-loop stage attribution (repro.obs): identical probe pattern
-        # and stage names to the solo runner, one `is not None` check per
-        # probe when disabled.
+        # Hot-loop stage attribution (repro.obs): every probe is guarded by
+        # one `prof is not None` check, so the disabled default adds no
+        # calls, no allocation and no branch beyond this comparison.
         prof = self._profiler
         if prof is not None:
             prof.loop_start()
@@ -571,7 +745,8 @@ class BatchRunner:
             flop_per_pe = stripe_loads * flop_per_load
 
             # Line 10, batched: one bulk-synchronous compute phase of every
-            # replica (identical elementwise ops to R solo compute_steps).
+            # replica (the elementwise ops of R VirtualCluster.compute_step
+            # calls).
             t0 = prof.start() if prof is not None else 0
             start = state.clock.max(axis=1)
             pe_times = flop_per_pe / state.speed
@@ -659,49 +834,41 @@ class BatchRunner:
                             )
                     if self.degradation.degradation_of(r) >= threshold:
                         fired.append(r)
-                np.copyto(stripe_loads, new_stripe_loads)
+                contexts = None
                 if prof is not None:
                     prof.stop("lb_decide", t0)
-                # repro: noqa[HOT001] -- iterates only replicas whose trigger fired; LB steps are rare by design (degradation-gated)
-                for r in fired:
-                    t0 = prof.start() if prof is not None else 0
-                    self._execute_lb_step(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only for replicas whose degradation trigger fired
-                        r, iteration, new_stripe_loads, stripe_loads, lb_reports
-                    )
-                    if prof is not None:
-                        prof.stop("lb_apply", t0)
             else:
                 if prof is not None:
                     prof.stop("lb_decide", t0)
+                fired, contexts = [], []
                 # repro: noqa[HOT001] -- generic-trigger fallback: custom trigger policies are per-replica Python objects; the vectorized fast path above covers the paper's trigger family
                 for r in range(R):
                     t0 = prof.start() if prof is not None else 0
                     context = self._build_context(r, iteration, new_stripe_loads[r])
-                    fire = self.trigger_policies[r].should_balance(context)
+                    if self.trigger_policies[r].should_balance(context):
+                        fired.append(r)
+                        contexts.append(context)
                     if prof is not None:
                         prof.stop("lb_decide", t0)
-                    if fire:
-                        t0 = prof.start() if prof is not None else 0
-                        self._execute_lb_step(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only when the replica's trigger fired
-                            r,
-                            iteration,
-                            new_stripe_loads,
-                            stripe_loads,
-                            lb_reports,
-                            context=context,
-                        )
-                        if prof is not None:
-                            prof.stop("lb_apply", t0)
-                    else:
-                        stripe_loads[r] = new_stripe_loads[r]
+            np.copyto(stripe_loads, new_stripe_loads)
+            if fired:
+                t0 = prof.start() if prof is not None else 0
+                self._execute_lb_steps(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only in iterations where a trigger fired
+                    fired, iteration, new_stripe_loads, stripe_loads, lb_reports, contexts
+                )
+                if prof is not None:
+                    prof.stop("lb_apply", t0)
+
+            if on_iteration is not None:
+                on_iteration(iteration, elapsed)
 
         if prof is not None:
             prof.loop_stop()
 
-        # Materialize the deferred iteration records (same float values the
-        # solo cluster would have recorded live; tolist() already yields
-        # Python floats, so the records are built without per-element
-        # conversion).
+        # Materialize the deferred iteration records (the float values
+        # VirtualCluster.compute_step would have recorded live; tolist()
+        # already yields Python floats, so the records are built without
+        # per-element conversion).
         results: List[RunResult] = []
         for r in range(R):
             trace = self.clusters[r].trace

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,6 +153,20 @@ class WorkloadPolicy(abc.ABC):
 
     def notify_balanced(self, context: LBContext, decision: LBDecision) -> None:
         """Hook called after the LB step was executed (optional)."""
+
+    @classmethod
+    def decide_many(
+        cls,
+        policies: Sequence["WorkloadPolicy"],
+        contexts: Sequence[LBContext],
+    ) -> List[LBDecision]:
+        """Decisions of independent policies at one LB step each.
+
+        ``policies[i]`` decides on ``contexts[i]``.  The default asks them
+        in turn; a subclass may vectorize across the policies of its own
+        type, returning the same decisions.
+        """
+        return [policy.decide(context) for policy, context in zip(policies, contexts)]
 
 
 class TriggerPolicy(abc.ABC):

@@ -13,12 +13,11 @@ changes the target shares handed to the partitioner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.lb.base import LBContext, LBDecision, WorkloadPolicy
-from repro.partitioning.metrics import migration_volume
 from repro.partitioning.stripe import StripePartition, StripePartitioner
 from repro.simcluster.cluster import VirtualCluster
 from repro.utils.validation import check_non_negative
@@ -126,38 +125,56 @@ class CentralizedLoadBalancer:
             the migration cost is charged as if every cell moved.
         """
         loads = np.asarray(column_loads, dtype=float)
-        decision = self.policy.decide(context)
-        new_partition = self.partitioner.partition(
-            loads, target_shares=decision.target_shares
+        return self.execute_many([self], [context], loads[None, :], [current_partition])[0]
+
+    @staticmethod
+    def execute_many(
+        balancers: "Sequence[CentralizedLoadBalancer]",
+        contexts: Sequence[LBContext],
+        column_loads: np.ndarray,
+        current_partitions: "Sequence[Optional[StripePartition]]",
+    ) -> List[LBStepReport]:
+        """Independent LB steps of balancers over equally sized clusters.
+
+        Balancer ``i`` runs one step on ``contexts[i]``, row ``i`` of the
+        ``(k, columns)`` ``column_loads`` and ``current_partitions[i]``.
+        The policy decisions and the partitioning of all ``k`` steps are
+        vectorized (see :meth:`WorkloadPolicy.decide_many` and
+        :meth:`StripePartitioner.partition_rows`); the reports, the charged
+        costs and every balancer's state equal those of ``k`` one-balancer
+        calls (:meth:`execute` is the ``k = 1`` case).
+        """
+        num_pes = balancers[0].cluster.size
+        if any(balancer.cluster.size != num_pes for balancer in balancers):
+            raise ValueError("execute_many needs clusters of one size")
+        loads = np.asarray(column_loads, dtype=float)
+        policies = [balancer.policy for balancer in balancers]
+        decisions = type(policies[0]).decide_many(policies, contexts)
+        partitions = balancers[0].partitioner.partition_rows(
+            loads, [decision.target_shares for decision in decisions]
         )
+        return [
+            balancer._charge(
+                context, decision, partition, *_migration(row, current, partition)
+            )
+            for balancer, context, decision, partition, row, current in zip(
+                balancers, contexts, decisions, partitions, loads, current_partitions
+            )
+        ]
 
-        if current_partition is None:
-            migrated = float(loads.sum())
-            per_pe_migrated = np.full(
-                self.cluster.size, migrated / self.cluster.size
-            )
-        else:
-            if current_partition.num_columns != new_partition.num_columns:
-                raise ValueError(
-                    "current_partition does not cover the same number of "
-                    "columns as the new partition"
-                )
-            old_owners = current_partition.partition.owners()
-            new_owners = new_partition.partition.owners()
-            migrated = migration_volume(old_owners, new_owners, loads)
-            # Per-PE migration volume: load of the columns a PE sends plus
-            # the load of the columns it receives (both cross its NIC).
-            moved = old_owners != new_owners
-            sent = np.bincount(
-                old_owners[moved], weights=loads[moved], minlength=self.cluster.size
-            )
-            received = np.bincount(
-                new_owners[moved], weights=loads[moved], minlength=self.cluster.size
-            )
-            per_pe_migrated = sent + received
-
+    def _charge(
+        self,
+        context: LBContext,
+        decision: LBDecision,
+        new_partition: StripePartition,
+        migrated: float,
+        per_pe_migrated: np.ndarray,
+    ) -> LBStepReport:
+        """Charge one step's virtual cost and record its report."""
         partition_seconds = (
-            self.partition_flop_per_column * loads.size / self.cluster.pes[self.root].speed
+            self.partition_flop_per_column
+            * new_partition.num_columns
+            / self.cluster.pes[self.root].speed
         )
         cost = self.cluster.charge_lb_step(
             iteration=context.iteration,
@@ -176,3 +193,33 @@ class CentralizedLoadBalancer:
         self.history.append(report)
         self.policy.notify_balanced(context, decision)
         return report
+
+
+def _migration(
+    loads: np.ndarray,
+    old_partition: Optional[StripePartition],
+    new_partition: StripePartition,
+) -> "tuple[float, np.ndarray]":
+    """Migrated load and per-PE migration volume of one repartitioning.
+
+    The total equals ``partitioning.metrics.migration_volume``; a PE's
+    volume is the load of the columns it sends plus the load of the
+    columns it receives (both cross its NIC).  Without an
+    ``old_partition`` every cell counts as moved, spread evenly.
+    """
+    num_pes = new_partition.num_pes
+    if old_partition is None:
+        migrated = float(loads.sum())
+        return migrated, np.full(num_pes, migrated / num_pes)
+    if old_partition.num_columns != new_partition.num_columns:
+        raise ValueError(
+            "current_partition does not cover the same number of "
+            "columns as the new partition"
+        )
+    old_owners = old_partition.partition.owners()
+    new_owners = new_partition.partition.owners()
+    moved = old_owners != new_owners
+    moved_loads = loads[moved]
+    sent = np.bincount(old_owners[moved], weights=moved_loads, minlength=num_pes)
+    received = np.bincount(new_owners[moved], weights=moved_loads, minlength=num_pes)
+    return float(moved_loads.sum()), sent + received

@@ -15,7 +15,7 @@ guards from the paper are applied:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -67,45 +67,55 @@ class ULBAPolicy(WorkloadPolicy):
         the distributed Algorithm 1; the root then aggregates the per-rank
         ``alpha`` requests (Algorithm 2).
         """
-        num_pes = context.num_pes
-        requested = np.zeros(num_pes, dtype=float)
-        # Three equivalent evaluation paths for the per-rank rule, fastest
-        # applicable first; all produce the same floats (the matrix path's
-        # row-wise reductions are bitwise identical to per-rank ones):
-        # 1. complete views as one (P, P) matrix -> one vectorized pass;
-        # 2. lazily materialized views -> per-rank compacted arrays;
-        # 3. plain per-rank dict views (sequences handed in by tests).
+        flags = _stacked_flags([self.detector], [context])
+        if flags is not None:
+            return self._decision(flags[0])
+        # Views that are not one complete matrix: the rule rank by rank,
+        # over per-rank compacted arrays (lazily materialized views) or plain
+        # per-rank dicts (sequences handed in by tests).
         views = context.wir_views
         fast = isinstance(views, LazyWIRViews)
-        matrix = views.complete_matrix() if fast else None
-        if matrix is not None and type(self.detector) is OverloadDetector:
-            flags = self.detector.overloading_mask_from_views(matrix)
-            overloading = [int(rank) for rank in np.flatnonzero(flags)]
-            requested[flags] = self.alpha
-        else:
-            overloading = []
-            for rank in range(num_pes):
-                if fast:
-                    own = views.own_rate(rank)
-                    if own is None:
-                        continue
-                    rates = views.known_values(rank)
-                else:
-                    view = context.wir_view_of(rank)
-                    own = view.get(rank)
-                    if own is None:
-                        continue
-                    rates = list(view.values())
-                if self.detector.is_overloading(own, rates):
-                    requested[rank] = self.alpha
-                    overloading.append(rank)
+        flags = np.zeros(context.num_pes, dtype=bool)
+        for rank in range(context.num_pes):
+            if fast:
+                own = views.own_rate(rank)
+                if own is None:
+                    continue
+                rates = views.known_values(rank)
+            else:
+                view = context.wir_view_of(rank)
+                own = view.get(rank)
+                if own is None:
+                    continue
+                rates = list(view.values())
+            flags[rank] = self.detector.is_overloading(own, rates)
+        return self._decision(flags)
 
-        downgraded = False
-        if overloading and len(overloading) >= self.majority_guard * num_pes:
-            # Majority guard: unloading most of the machine cannot help.
-            requested[:] = 0.0
-            downgraded = True
+    @classmethod
+    def decide_many(
+        cls,
+        policies: Sequence[WorkloadPolicy],
+        contexts: Sequence[LBContext],
+    ) -> List[LBDecision]:
+        """Decisions of several ULBA policies from one stacked z-score pass.
 
+        Applies when every policy is a plain :class:`ULBAPolicy` whose
+        identically parameterized :class:`OverloadDetector` sees complete
+        views; anything else decides policy by policy.
+        """
+        flags = None
+        if all(type(policy) is ULBAPolicy for policy in policies):
+            flags = _stacked_flags([policy.detector for policy in policies], contexts)
+        if flags is None:
+            return super().decide_many(policies, contexts)
+        return [policy._decision(row) for policy, row in zip(policies, flags)]
+
+    def _decision(self, flags: np.ndarray) -> LBDecision:
+        """The LB decision for per-rank overload ``flags`` (guards applied)."""
+        num_pes = flags.size
+        overloading = np.flatnonzero(flags).tolist()
+        # Majority guard: unloading most of the machine cannot help.
+        downgraded = bool(overloading) and len(overloading) >= self.majority_guard * num_pes
         if not overloading or downgraded:
             share = 1.0 / num_pes
             return LBDecision(
@@ -115,7 +125,7 @@ class ULBAPolicy(WorkloadPolicy):
                 downgraded_to_standard=downgraded,
                 policy=self.name,
             )
-
+        requested = np.where(flags, self.alpha, 0.0)
         shares = target_shares_from_alphas(requested)
         return LBDecision(
             target_shares=tuple(shares.tolist()),
@@ -124,3 +134,37 @@ class ULBAPolicy(WorkloadPolicy):
             downgraded_to_standard=False,
             policy=self.name,
         )
+
+
+def _stacked_flags(
+    detectors: Sequence[OverloadDetector], contexts: Sequence[LBContext]
+) -> Optional[np.ndarray]:
+    """Every rank's overload flag at ``k`` LB steps, as ``(k, P)``.
+
+    ``detectors[i]`` judges the views of ``contexts[i]``.  One vectorized
+    pass over the ``(k, P, P)`` stack of the view matrices; its row-wise
+    reductions are bitwise identical to per-rank ones.  ``None`` when some
+    detector is not a plain :class:`OverloadDetector` parameterized like the
+    first, or some context's views are not one complete matrix.
+    """
+    detector = detectors[0]
+    if not all(
+        type(d) is OverloadDetector
+        and d.threshold == detector.threshold
+        and d.min_population == detector.min_population
+        for d in detectors
+    ) or not all(isinstance(c.wir_views, LazyWIRViews) for c in contexts):
+        return None
+    matrices = [context.wir_views.complete_matrix() for context in contexts]
+    if any(m is None for m in matrices):
+        return None
+    if all(m.strides[0] == 0 for m in matrices):
+        # Instant dissemination: one view per replica, shared by its
+        # ranks -- stack the rows, broadcast them back to (k, P, P).
+        rows = np.stack([m[0] for m in matrices])
+        stacked = np.broadcast_to(rows[:, None, :], (len(rows),) + matrices[0].shape)
+    elif len(matrices) == 1:
+        stacked = matrices[0][None]  # a view: no copy of a (P, P) matrix
+    else:
+        stacked = np.stack(matrices)
+    return detector.overloading_mask_from_views(stacked)

@@ -14,9 +14,10 @@ Four pieces live here:
 * :class:`WIREstimateArray` -- the vectorized form: one estimator state
   vector for all ``P`` PEs, updated with a single batched EMA per iteration
   (numerically identical to ``P`` scalar :class:`WIREstimate` updates).
-* :class:`WIRDatabase` -- the replicated board of WIR values, built on the
-  gossip substrate (:class:`repro.simcluster.gossip.GossipBoard`) or fed
-  directly when gossip is not simulated.
+* :class:`BatchWIRDatabase` / :class:`WIRDatabase` -- the replicated board
+  of WIR values of ``R`` replicas, built on the gossip substrate
+  (:mod:`repro.simcluster.gossip`) or fed directly when gossip is not
+  simulated, and the per-replica view the LB policies read.
 * :class:`OverloadDetector` -- the z-score rule of Algorithm 1 (line 19).
 """
 
@@ -27,12 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.simcluster.gossip import (
-    BatchGossipBoard,
-    GossipConfig,
-    SparseGossipBoard,
-    make_gossip_board,
-)
+from repro.simcluster.gossip import BatchGossipBoard, GossipConfig, SparseGossipBoard
 from repro.utils.markers import hot_path
 from repro.utils.rng import SeedLike
 from repro.utils.stats import zscore
@@ -219,26 +215,29 @@ class WIREstimateArray:
 
     @hot_path  # audited: defensive asarray is a no-op on the runner's float64 input
     def reset_replica_after_migration(
-        self, replica: int, workloads: np.ndarray
+        self, replica: "int | Sequence[int]", workloads: np.ndarray
     ) -> None:
-        """Re-anchor the estimators of one replica row (batched form only).
+        """Re-anchor the estimators of replica rows (batched form only).
 
-        The batched runner calls this when a single replica's LB step moved
-        work around while the other replicas kept their anchors.
+        The batched runner calls this when some replicas' LB steps moved
+        work around while the other replicas kept their anchors.  ``replica``
+        is one row index with ``(P,)`` workloads, or ``k`` row indices with
+        ``(k, P)`` workloads.
         """
         if self.replicas is None:
             raise ValueError("reset_replica_after_migration requires replicas=R")
-        if not 0 <= replica < self.replicas:
+        rows = np.asarray(replica)
+        if rows.ndim > 1 or ((rows < 0) | (rows >= self.replicas)).any():
             raise ValueError(f"replica {replica} outside [0, {self.replicas})")
         w = np.asarray(workloads, dtype=float)
-        if w.shape != (self.num_pes,):
+        if w.shape != rows.shape + (self.num_pes,):
             raise ValueError(
-                f"workloads must have one entry per PE ({self.num_pes}), "
-                f"got {w.shape}"
+                f"workloads must have one entry per PE ({self.num_pes}) and "
+                f"replica, got {w.shape}"
             )
         if (w < 0).any():
             raise ValueError("workloads must all be >= 0")
-        self._last_workloads[replica] = w
+        self._last_workloads[rows] = w
 
     # ------------------------------------------------------------------
     @property
@@ -313,15 +312,13 @@ class LazyWIRViews:
         """The full ``(P, P)`` view matrix once every entry is known.
 
         Row ``r`` is rank ``r``'s complete view; ``None`` while any view is
-        still partial (or when the backing database does not expose the
-        matrix form).  Read-only.
+        still partial.  Read-only.
         """
-        accessor = getattr(self._db, "complete_matrix", None)
-        return accessor() if accessor is not None else None
+        return self._db.complete_matrix()
 
 
 class WIRDatabase:
-    """Replicated ``rank -> WIR`` database.
+    """Replicated ``rank -> WIR`` database of one run.
 
     The database can operate in two modes:
 
@@ -329,14 +326,20 @@ class WIRDatabase:
       one dissemination step per application iteration, so each rank's view
       may be slightly stale -- exactly the mechanism of Section III-C.  The
       board implementation follows ``gossip_config.mode``: the dense
-      ``(P, P)`` :class:`GossipBoard` (default), or the memory-bounded
+      ``(P, P)`` board (default), or the memory-bounded
       :class:`~repro.simcluster.gossip.SparseGossipBoard` for large
       clusters, whose views are partial by design (the consumers' dense
       ``complete_matrix`` fast paths then degrade to the per-rank rule);
     * **instant mode** (``use_gossip=False``): every publish is immediately
       visible to all ranks, modelling an allgather-based implementation and
       convenient for deterministic tests.
+
+    This is the view of one replica of a :class:`BatchWIRDatabase`
+    (:meth:`BatchWIRDatabase.replica`); the constructor builds a
+    one-replica batch.  :meth:`disseminate` advances the whole batch.
     """
+
+    __slots__ = ("_batch", "_replica")
 
     def __init__(
         self,
@@ -346,62 +349,44 @@ class WIRDatabase:
         gossip_config: Optional[GossipConfig] = None,
         seed: SeedLike = None,
     ) -> None:
-        check_positive_int(num_ranks, "num_ranks")
-        self.num_ranks = num_ranks
-        self.use_gossip = use_gossip
-        self._board = (
-            make_gossip_board(num_ranks, config=gossip_config, seed=seed)
-            if use_gossip
-            else None
+        self._batch = BatchWIRDatabase(
+            num_ranks, [seed], use_gossip=use_gossip, gossip_config=gossip_config
         )
-        self._instant_values = np.zeros(num_ranks, dtype=float)
-        self._instant_known = np.zeros(num_ranks, dtype=bool)
+        self._replica = 0
+
+    @classmethod
+    def _of(cls, batch: "BatchWIRDatabase", replica: int) -> "WIRDatabase":
+        db = cls.__new__(cls)
+        db._batch = batch
+        db._replica = replica
+        return db
 
     # ------------------------------------------------------------------
+    @property
+    def num_ranks(self) -> int:
+        """Number of ranks (PEs)."""
+        return self._batch.num_ranks
+
+    @property
+    def use_gossip(self) -> bool:
+        """Whether values propagate by gossip (else instantly)."""
+        return self._batch.use_gossip
+
     def publish(self, rank: int, wir: float) -> None:
         """Rank ``rank`` publishes its current WIR."""
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        if self._board is not None:
-            self._board.publish(rank, wir)
-        else:
-            self._instant_values[rank] = float(wir)
-            self._instant_known[rank] = True
+        self._batch.publish(self._replica, rank, wir)
 
-    # Audited for FLOW-HOT: asarray is a no-op on the runner's float64 rates
-    # array and both branches are vectorized writes into preallocated state.
-    @hot_path
     def publish_all(self, wirs: np.ndarray) -> None:
-        """Every rank publishes its WIR in one vectorized update.
-
-        Equivalent to ``publish(r, wirs[r])`` for every rank, without ``P``
-        Python-level calls; this is what the runner's hot loop uses.
-        """
-        wirs = np.asarray(wirs, dtype=float)
-        if wirs.shape != (self.num_ranks,):
-            raise ValueError(
-                f"wirs must have one entry per rank ({self.num_ranks}), "
-                f"got {wirs.shape}"
-            )
-        if self._board is not None:
-            self._board.publish_all(wirs)
-        else:
-            np.copyto(self._instant_values, wirs)
-            self._instant_known[:] = True
+        """Every rank publishes its WIR: ``publish(r, wirs[r])`` for each rank."""
+        self._batch.publish_all(wirs, replica=self._replica)
 
     def disseminate(self) -> None:
         """Perform one gossip dissemination step (no-op in instant mode)."""
-        if self._board is not None:
-            self._board.step()
+        self._batch.disseminate()
 
     def view(self, rank: int) -> Dict[int, float]:
         """WIR values known by ``rank`` (may be partial in gossip mode)."""
-        if self._board is not None:
-            return self._board.local_view(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        known = np.flatnonzero(self._instant_known)
-        return {int(r): float(self._instant_values[r]) for r in known}
+        return self._batch.view(self._replica, rank)
 
     def views(self) -> LazyWIRViews:
         """Lazily materialized sequence of every rank's view.
@@ -422,21 +407,11 @@ class WIRDatabase:
 
         Same numbers as ``list(view(rank).values())`` without the dict.
         """
-        if self._board is not None:
-            return self._board.known_values_row(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        return self._instant_values[self._instant_known]
+        return self._batch.known_values(self._replica, rank)
 
     def own_rate(self, rank: int) -> Optional[float]:
         """The WIR rank ``rank`` published for itself, if any."""
-        if self._board is not None:
-            return self._board.own_value(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        if not self._instant_known[rank]:
-            return None
-        return float(self._instant_values[rank])
+        return self._batch.own_rate(self._replica, rank)
 
     def complete_matrix(self) -> Optional[np.ndarray]:
         """The full ``(P, P)`` view matrix once every entry is known.
@@ -444,72 +419,25 @@ class WIRDatabase:
         In instant mode every rank shares the same (complete) view, so the
         matrix is a broadcast of the value vector.  Read-only.
         """
-        if self._board is not None:
-            return self._board.complete_matrix()
-        if not self._instant_known.all():
-            return None
-        return np.broadcast_to(
-            self._instant_values, (self.num_ranks, self.num_ranks)
-        )
+        return self._batch.complete_matrix(self._replica)
 
     def coverage(self, rank: int) -> float:
         """Fraction of ranks whose WIR is known by ``rank``."""
         return len(self.view(rank)) / self.num_ranks
 
 
-class _ReplicaWIRDatabase:
-    """Read-only ``WIRDatabase`` facade over one replica of a batch database.
-
-    Implements exactly the surface :class:`LazyWIRViews` and the LB policies
-    consume (``num_ranks`` / ``view``), so per-replica trigger and workload
-    policies run unchanged against the batched state.
-    """
-
-    __slots__ = ("_batch", "_replica")
-
-    def __init__(self, batch: "BatchWIRDatabase", replica: int) -> None:
-        self._batch = batch
-        self._replica = replica
-
-    @property
-    def num_ranks(self) -> int:
-        """PEs per replica."""
-        return self._batch.num_ranks
-
-    def view(self, rank: int) -> Dict[int, float]:
-        """WIR values known by ``rank`` in this replica."""
-        return self._batch.view(self._replica, rank)
-
-    def known_values(self, rank: int) -> np.ndarray:
-        """Compacted known WIRs of ``rank`` (ascending source order)."""
-        return self._batch.known_values(self._replica, rank)
-
-    def own_rate(self, rank: int) -> Optional[float]:
-        """The WIR ``rank`` published for itself in this replica, if any."""
-        return self._batch.own_rate(self._replica, rank)
-
-    def complete_matrix(self) -> Optional[np.ndarray]:
-        """This replica's full ``(P, P)`` view matrix, or None while partial."""
-        return self._batch.complete_matrix(self._replica)
-
-    def views(self) -> LazyWIRViews:
-        """Lazily materialized per-rank views of this replica."""
-        return LazyWIRViews(self)
-
-
 class BatchWIRDatabase:
     """``R`` replicated WIR databases advanced in lock step.
 
-    The batched counterpart of :class:`WIRDatabase`: dense gossip mode
-    stores all replicas in one
+    Dense gossip mode stores all replicas in one
     :class:`~repro.simcluster.gossip.BatchGossipBoard` (``(R, P, P)`` state,
     one batched dissemination round per call), sparse gossip mode
     (``gossip_config.mode == "sparse"``) keeps one memory-bounded
     :class:`~repro.simcluster.gossip.SparseGossipBoard` per replica
     (``O(R * P * view_size)`` total), and instant mode keeps an ``(R, P)``
-    value matrix.  Each replica consumes its own seed exactly like a solo
-    database, so replica ``r`` is bit-identical to
-    ``WIRDatabase(P, seed=seeds[r])`` under the same config.
+    value matrix.  Each replica consumes its own seed, so replica ``r`` is
+    bit-identical to ``WIRDatabase(P, seed=seeds[r])`` under the same
+    config; :meth:`replica` returns that per-replica view.
     """
 
     def __init__(
@@ -543,22 +471,42 @@ class BatchWIRDatabase:
         self._instant_known = np.zeros((self.num_replicas, num_ranks), dtype=bool)
 
     # ------------------------------------------------------------------
-    def publish_all(self, wirs: np.ndarray) -> None:
-        """Every rank of every replica publishes its WIR; ``wirs`` is (R, P)."""
+    def publish(self, replica: int, rank: int, wir: float) -> None:
+        """Rank ``rank`` of ``replica`` publishes its current WIR."""
+        if self._board is not None:
+            self._board.publish(replica, rank, wir)
+            return
+        self._check_indices(replica, rank)
+        if self._sparse_boards is not None:
+            self._sparse_boards[replica].publish(rank, wir)
+        else:
+            self._instant_values[replica, rank] = float(wir)
+            self._instant_known[replica, rank] = True
+
+    def publish_all(self, wirs: np.ndarray, *, replica: Optional[int] = None) -> None:
+        """Every rank of every replica (or of one ``replica``) publishes its WIR.
+
+        ``wirs`` is ``(R, P)``, or ``(P,)`` with ``replica``.
+        """
         wirs = np.asarray(wirs, dtype=float)
-        expected = (self.num_replicas, self.num_ranks)
+        if replica is None:
+            expected, rows = (self.num_replicas, self.num_ranks), slice(None)
+        else:
+            self._check_indices(replica, 0)
+            expected, rows = (self.num_ranks,), slice(replica, replica + 1)
         if wirs.shape != expected:
             raise ValueError(
-                f"wirs must be (replicas, ranks) = {expected}, got {wirs.shape}"
+                f"wirs must be {'(replicas, ranks)' if replica is None else 'ranks'}"
+                f" = {expected}, got {wirs.shape}"
             )
         if self._board is not None:
-            self._board.publish_all(wirs)
+            self._board.publish_all(wirs, replica=replica)
         elif self._sparse_boards is not None:
-            for r, board in enumerate(self._sparse_boards):
-                board.publish_all(wirs[r])
+            for board, row in zip(self._sparse_boards[rows], wirs.reshape(-1, self.num_ranks)):
+                board.publish_all(row)
         else:
-            np.copyto(self._instant_values, wirs)
-            self._instant_known[:] = True
+            self._instant_values[rows] = wirs
+            self._instant_known[rows] = True
 
     def disseminate(self) -> None:
         """One gossip round across every replica (no-op in instant mode)."""
@@ -575,10 +523,7 @@ class BatchWIRDatabase:
         if self._sparse_boards is not None:
             self._check_indices(replica, rank)
             return self._sparse_boards[replica].local_view(rank)
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
+        self._check_indices(replica, rank)
         known = np.flatnonzero(self._instant_known[replica])
         row = self._instant_values[replica]
         return {int(r): float(row[r]) for r in known}
@@ -622,11 +567,10 @@ class BatchWIRDatabase:
         if not 0 <= rank < self.num_ranks:
             raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
 
-    def replica(self, replica: int) -> _ReplicaWIRDatabase:
-        """A solo-``WIRDatabase``-shaped facade over one replica."""
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        return _ReplicaWIRDatabase(self, replica)
+    def replica(self, replica: int) -> WIRDatabase:
+        """The :class:`WIRDatabase` view of one replica."""
+        self._check_indices(replica, 0)
+        return WIRDatabase._of(self, replica)
 
 
 @dataclass(frozen=True)
@@ -699,14 +643,19 @@ class OverloadDetector:
         its own view" -- the per-rank rule of Algorithm 1 for every rank in
         one shot.  Row-wise reductions along the contiguous last axis are
         bitwise identical to reducing each row separately, so the flags
-        match ``P`` scalar :meth:`is_overloading` calls exactly.
+        match ``P`` scalar :meth:`is_overloading` calls exactly.  A stack of
+        ``(k, P, P)`` matrices (``k`` independent databases) gives ``(k, P)``
+        flags, each row equal to that matrix's own.
         """
-        num = matrix.shape[0]
-        if matrix.shape[1] < self.min_population:
-            return np.zeros(num, dtype=bool)
-        means = matrix.mean(axis=1)
-        stds = matrix.std(axis=1)
-        own = np.diagonal(matrix)
+        if matrix.shape[-1] < self.min_population:
+            return np.zeros(matrix.shape[:-1], dtype=bool)
+        own = np.diagonal(matrix, axis1=-2, axis2=-1)
+        if matrix.strides[-2] == 0:
+            # One view shared by every rank (instant dissemination): its
+            # statistics once, broadcast below.
+            matrix = matrix[..., :1, :]
+        means = matrix.mean(axis=-1)
+        stds = matrix.std(axis=-1)
         safe = np.where(stds == 0.0, 1.0, stds)
         z = np.where(stds == 0.0, 0.0, (own - means) / safe)
         return z >= self.threshold

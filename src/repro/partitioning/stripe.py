@@ -17,13 +17,14 @@ knows how to compute per-column workloads from its cell grid) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.partitioning.weighted import (
     Partition1D,
     partition_contiguous,
+    partition_contiguous_rows,
     target_shares_from_alphas,
 )
 from repro.utils.validation import check_positive_int
@@ -118,6 +119,24 @@ class StripePartitioner:
         loads = np.asarray(column_loads, dtype=float)
         part = partition_contiguous(loads, self.num_pes, target_shares)
         return StripePartition(partition=part, column_loads=tuple(loads.tolist()))
+
+    def partition_rows(
+        self,
+        column_loads: np.ndarray,
+        target_shares: Sequence[Sequence[float]],
+    ) -> List[StripePartition]:
+        """:meth:`partition` of every row of a ``(k, columns)`` load array.
+
+        Row ``i`` is split according to ``target_shares[i]``; one vectorized
+        cut placement serves all rows and every partition equals the one
+        :meth:`partition` returns for that row alone.
+        """
+        loads = np.asarray(column_loads, dtype=float)
+        parts = partition_contiguous_rows(loads, self.num_pes, target_shares)
+        return [
+            StripePartition(partition=part, column_loads=tuple(row))
+            for part, row in zip(parts, loads.tolist())
+        ]
 
     def partition_with_alphas(
         self, column_loads: Sequence[float], alphas: Sequence[float]

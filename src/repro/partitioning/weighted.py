@@ -22,13 +22,18 @@ Two pieces are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_positive_int
 
-__all__ = ["Partition1D", "partition_contiguous", "target_shares_from_alphas"]
+__all__ = [
+    "Partition1D",
+    "partition_contiguous",
+    "partition_contiguous_rows",
+    "target_shares_from_alphas",
+]
 
 
 @dataclass(frozen=True)
@@ -156,48 +161,89 @@ def partition_contiguous(
     -------
     Partition1D
     """
-    check_positive_int(num_parts, "num_parts")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    if np.any(w < 0.0):
+    shares = None if target_shares is None else [list(target_shares)]
+    return partition_contiguous_rows(w[None, :], num_parts, shares)[0]
+
+
+def partition_contiguous_rows(
+    weights: np.ndarray,
+    num_parts: int,
+    target_shares: Optional[Sequence[Sequence[float]]] = None,
+) -> List[Partition1D]:
+    """:func:`partition_contiguous` of every row of a ``(k, C)`` weight array.
+
+    Row ``i`` is split according to ``target_shares[i]`` (the even split
+    when omitted).  The prefix sums, targets and cut candidates of all rows
+    come from one vectorized pass; row-wise reductions along the contiguous
+    last axis round exactly like 1-D ones, so each partition equals the one
+    of that row split alone.
+    """
+    check_positive_int(num_parts, "num_parts")
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] == 0:
+        raise ValueError("weights must be a non-empty (rows, items) array")
+    if (w < 0.0).any():
         raise ValueError("weights must all be >= 0")
-    if w.size < num_parts:
+    if w.shape[1] < num_parts:
         raise ValueError(
-            f"cannot split {w.size} items into {num_parts} non-empty parts; "
+            f"cannot split {w.shape[1]} items into {num_parts} non-empty parts; "
             "reduce the number of parts or refine the items"
         )
-
     if target_shares is None:
-        shares = np.full(num_parts, 1.0 / num_parts)
+        shares = np.full((w.shape[0], num_parts), 1.0 / num_parts)
     else:
-        shares = np.asarray(list(target_shares), dtype=float)
-        if shares.shape != (num_parts,):
+        shares = np.asarray(target_shares, dtype=float)
+        if shares.shape != (w.shape[0], num_parts):
             raise ValueError(
-                f"target_shares must have length {num_parts}, got {shares.shape}"
+                f"target_shares must have shape {(w.shape[0], num_parts)}, "
+                f"got {shares.shape}"
             )
-        if np.any(shares < 0.0):
+        if (shares < 0.0).any():
             raise ValueError("target_shares must all be >= 0")
-        total_share = shares.sum()
-        if total_share <= 0.0:
+        total_shares = shares.sum(axis=1)
+        if (total_shares <= 0.0).any():
             raise ValueError("target_shares must sum to a positive value")
-        shares = shares / total_share
+        shares = shares / total_shares[:, None]
 
-    total = w.sum()
-    prefix = np.concatenate([[0.0], np.cumsum(w)])
-    if total <= 0.0:
-        # Degenerate: no workload at all -- split items evenly by count.
-        bounds = np.linspace(0, w.size, num_parts + 1).round().astype(int)
-        return Partition1D(boundaries=tuple(int(b) for b in bounds))
-
-    cumulative_targets = np.cumsum(shares) * total
+    rows, num_items = w.shape
+    totals = w.sum(axis=1)
+    prefix = np.zeros((rows, num_items + 1))
+    np.cumsum(w, axis=1, out=prefix[:, 1:])
+    cumulative_targets = np.cumsum(shares, axis=1) * totals[:, None]
     if num_parts == 1:
-        return Partition1D(boundaries=(0, int(w.size)))
+        cuts, feasible = None, None
+    else:
+        cuts, feasible = _vectorized_cuts(
+            prefix, cumulative_targets, num_items, num_parts
+        )
+    parts = []
+    for row in range(rows):
+        if totals[row] <= 0.0:
+            # Degenerate: no workload at all -- split items evenly by count.
+            bounds = np.linspace(0, num_items, num_parts + 1).round().astype(int)
+            boundaries = tuple(bounds.tolist())
+        elif num_parts == 1:
+            boundaries = (0, num_items)
+        elif feasible[row]:
+            boundaries = (0,) + tuple(cuts[row].tolist()) + (num_items,)
+        else:
+            boundaries = _sequential_cuts(
+                prefix[row], cumulative_targets[row], num_items, num_parts
+            )
+        parts.append(Partition1D(boundaries=boundaries))
+    return parts
 
-    cuts = _vectorized_cuts(prefix, cumulative_targets, w.size, num_parts)
-    if cuts is not None:
-        return Partition1D(boundaries=(0,) + cuts + (int(w.size),))
 
+def _sequential_cuts(
+    prefix: np.ndarray,
+    cumulative_targets: np.ndarray,
+    num_items: int,
+    num_parts: int,
+) -> Tuple[int, ...]:
+    """Exact greedy cut placement, one cut after the other."""
     boundaries = [0]
     for part in range(num_parts - 1):
         target = cumulative_targets[part]
@@ -205,7 +251,7 @@ def partition_contiguous(
         # while keeping at least (num_parts - part - 1) items for the rest
         # and never moving backwards.
         lo = boundaries[-1] + 1
-        hi = w.size - (num_parts - part - 1)
+        hi = num_items - (num_parts - part - 1)
         if lo > hi:
             boundaries.append(boundaries[-1])
             continue
@@ -216,8 +262,12 @@ def partition_contiguous(
             candidates = [idx]
         best = min(candidates, key=lambda c: abs(prefix[c] - target))
         boundaries.append(int(best))
-    boundaries.append(int(w.size))
-    return Partition1D(boundaries=tuple(boundaries))
+    boundaries.append(int(num_items))
+    return tuple(boundaries)
+
+
+#: Candidate cut offsets around each target's insertion point.
+_CUT_OFFSETS = np.array([-1, 0, 1])
 
 
 def _vectorized_cuts(
@@ -225,30 +275,38 @@ def _vectorized_cuts(
     cumulative_targets: np.ndarray,
     num_items: int,
     num_parts: int,
-) -> "Optional[Tuple[int, ...]]":
-    """Batched fast path of the greedy cut placement.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched fast path of the greedy cut placement, for ``k`` rows.
 
-    Evaluates all ``P - 1`` cuts at once, ignoring the sequential
-    ``lo``/``hi`` feasibility coupling, then validates the result against
-    those constraints.  When the unconstrained choices already satisfy them
-    (the overwhelmingly common case), the sequential loop would have picked
-    the same cuts -- each unconstrained winner is also the first-tie winner
-    within its constrained candidate set -- so the result is returned;
-    otherwise ``None`` is returned and the caller runs the exact loop.
+    Evaluates all ``P - 1`` cuts of every row at once, ignoring the
+    sequential ``lo``/``hi`` feasibility coupling, then validates each row
+    against those constraints.  When a row's unconstrained choices already
+    satisfy them (the overwhelmingly common case), the sequential loop would
+    have picked the same cuts -- each unconstrained winner is also the
+    first-tie winner within its constrained candidate set.  Returns the
+    ``(k, P - 1)`` cuts and a ``(k,)`` mask of the rows whose cuts are
+    final; the caller runs the exact loop for the others.
     """
-    targets = cumulative_targets[: num_parts - 1]
-    idx = np.searchsorted(prefix, targets, side="left")
-    cand = np.stack([idx - 1, idx, idx + 1], axis=1)
+    targets = cumulative_targets[:, : num_parts - 1]
+    idx = np.empty(targets.shape, dtype=np.int64)
+    for row in range(targets.shape[0]):
+        idx[row] = np.searchsorted(prefix[row], targets[row], side="left")
+    cand = idx[:, :, None] + _CUT_OFFSETS
     in_range = (cand >= 0) & (cand <= num_items)
-    dist = np.abs(prefix[np.clip(cand, 0, num_items)] - targets[:, None])
-    # Out-of-range candidates must not win; their clipped distance is fake.
+    dist = np.abs(
+        np.take_along_axis(
+            prefix, np.where(in_range, cand, 0).reshape(len(prefix), -1), axis=1
+        ).reshape(cand.shape)
+        - targets[:, :, None]
+    )
+    # Out-of-range candidates must not win; their stand-in distance is fake.
     dist[~in_range] = np.inf
-    best = cand[np.arange(num_parts - 1), dist.argmin(axis=1)]
+    best = np.take_along_axis(cand, dist.argmin(axis=2)[:, :, None], axis=2)[:, :, 0]
 
-    hi = num_items - (num_parts - 1 - np.arange(num_parts - 1))
-    lo = np.empty(num_parts - 1, dtype=np.int64)
-    lo[0] = 1
-    lo[1:] = best[:-1] + 1
-    if (best >= lo).all() and (best <= hi).all():
-        return tuple(best.tolist())
-    return None
+    cuts = np.arange(num_parts - 1)
+    hi = num_items - (num_parts - 1 - cuts)
+    lo = np.empty_like(best)
+    lo[:, 0] = 1
+    lo[:, 1:] = best[:, :-1] + 1
+    feasible = ((best >= lo) & (best <= hi)).all(axis=1)
+    return best, feasible

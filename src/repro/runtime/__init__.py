@@ -17,13 +17,15 @@ and executes the iterative skeleton of Algorithm 1:
 Modules
 -------
 * :mod:`repro.runtime.degradation` -- the Zhai-style degradation tracker.
-* :mod:`repro.runtime.skeleton` -- the :class:`IterativeRunner` driver and
-  the :class:`StripedApplication` protocol.
+* :mod:`repro.runtime.skeleton` -- the :class:`IterativeRunner` driver (a
+  one-replica run of the :mod:`repro.batch` engine on the caller's
+  cluster; replica ``r`` of an ``R``-replica batch equals a one-replica
+  run with seed ``r``, and ``tests/runtime/reference_core.py`` is the
+  independent oracle of both) and the :class:`StripedApplication`
+  protocol.
 * :mod:`repro.runtime.synthetic` -- a deterministic synthetic application
   with linear per-column growth, used by tests, examples and benchmarks.
 * :mod:`repro.runtime.report` -- run reports comparing policies.
-* :mod:`repro.runtime.reference` -- frozen pre-vectorization loop core,
-  kept as the golden-equivalence reference and benchmark baseline.
 """
 
 from repro.runtime.degradation import DegradationTracker

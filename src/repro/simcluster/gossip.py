@@ -43,9 +43,8 @@ Two board implementations share those semantics:
   per-rank rule).  Its merge sorts packed int64 keys: one ``argsort`` to
   keep the freshest copy per ``(receiver, source)`` and one to evict.
 
-:func:`make_gossip_board` selects the implementation from
-:attr:`GossipConfig.mode`.  Versions are below :data:`VERSION_LIMIT`, which
-leaves every packed key room in an int64.
+Versions are below :data:`VERSION_LIMIT`, which leaves every packed key
+room in an int64.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "GossipBoard",
     "SparseGossipBoard",
     "VERSION_LIMIT",
-    "make_gossip_board",
     "merge_pushes",
     "select_push_targets",
     "sparse_random_push_targets",
@@ -808,25 +806,6 @@ class SparseGossipBoard:
             raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
 
 
-def make_gossip_board(
-    num_ranks: int,
-    *,
-    config: Optional[GossipConfig] = None,
-    seed: SeedLike = None,
-) -> "GossipBoard | SparseGossipBoard":
-    """Build the board implementation selected by ``config.mode``.
-
-    ``dense`` (the default) returns the exact historical
-    :class:`GossipBoard` -- bit-identical RNG stream and merges -- so
-    existing seeded runs are unaffected; ``sparse`` returns the
-    memory-bounded :class:`SparseGossipBoard`.
-    """
-    cfg = config or GossipConfig()
-    if cfg.mode == "sparse":
-        return SparseGossipBoard(num_ranks, config=cfg, seed=seed)
-    return GossipBoard(num_ranks, config=cfg, seed=seed)
-
-
 class BatchGossipBoard:
     """``R`` independent gossip boards advanced in lock step, batched.
 
@@ -885,26 +864,47 @@ class BatchGossipBoard:
         """Number of dissemination steps performed so far (all replicas)."""
         return self._steps
 
-    def publish_all(
-        self, values: np.ndarray, *, version: Optional[int] = None
+    def publish(
+        self, replica: int, rank: int, value: float, *, version: Optional[int] = None
     ) -> None:
-        """Every rank of every replica publishes its own value.
+        """:meth:`GossipBoard.publish` on one replica."""
+        self._check_indices(replica, rank)
+        v = _checked_version(version, self._steps)
+        if v >= self._versions[replica, rank, rank]:
+            self._values[replica, rank, rank] = float(value)
+            self._versions[replica, rank, rank] = v
 
-        ``values`` is ``(R, P)``; equivalent to
-        ``board_r.publish_all(values[r])`` on ``R`` solo boards.
+    def publish_all(
+        self,
+        values: np.ndarray,
+        *,
+        version: Optional[int] = None,
+        replica: Optional[int] = None,
+    ) -> None:
+        """Every rank of every replica (or of one ``replica``) publishes.
+
+        ``values`` is ``(R, P)``, or ``(P,)`` with ``replica``; equivalent to
+        ``board_r.publish_all(values[r])`` on the solo boards concerned.
         """
         values = np.asarray(values, dtype=float)
-        expected = (self.num_replicas, self.num_ranks)
+        if replica is None:
+            expected, rows = (self.num_replicas, self.num_ranks), slice(None)
+        else:
+            self._check_indices(replica, 0)
+            expected, rows = (self.num_ranks,), slice(replica, replica + 1)
         if values.shape != expected:
             raise ValueError(
-                f"values must be (replicas, ranks) = {expected}, got {values.shape}"
+                f"values must be {'(replicas, ranks)' if replica is None else 'ranks'}"
+                f" = {expected}, got {values.shape}"
             )
         v = _checked_version(version, self._steps)
+        board_values, board_versions = self._values[rows], self._versions[rows]
         diag = np.arange(self.num_ranks)
-        diag_versions = self._versions[:, diag, diag]
-        rep_idx, rank_idx = np.nonzero(v >= diag_versions)
-        self._values[rep_idx, rank_idx, rank_idx] = values[rep_idx, rank_idx]
-        self._versions[rep_idx, rank_idx, rank_idx] = v
+        rep_idx, rank_idx = np.nonzero(v >= board_versions[:, diag, diag])
+        board_values[rep_idx, rank_idx, rank_idx] = values.reshape(
+            -1, self.num_ranks
+        )[rep_idx, rank_idx]
+        board_versions[rep_idx, rank_idx, rank_idx] = v
 
     def local_view(self, replica: int, rank: int) -> Dict[int, float]:
         """The values rank ``rank`` of ``replica`` knows, keyed by source."""
@@ -961,11 +961,16 @@ class BatchGossipBoard:
         num_ranks, replicas = self.num_ranks, self.num_replicas
         if num_ranks > 1:
             if self.config.topology == "random":
-                keys = np.stack([rng.random((num_ranks, num_ranks)) for rng in self._rngs])
+                # Per-replica draws into one buffer (each the stream of a
+                # solo board's draw), freed before the merge's transients.
+                keys = np.empty((replicas, num_ranks, num_ranks))
+                for r, rng in enumerate(self._rngs):
+                    rng.random(out=keys[r])
                 diag = np.arange(num_ranks)
                 keys[:, diag, diag] = np.inf
                 k = min(self.config.fanout, num_ranks - 1)
                 targets = _smallest_k(keys.reshape(-1, num_ranks), k)
+                del keys
                 src, dst = _random_push_edges(
                     targets.reshape(replicas, num_ranks, k), self.config.include_root
                 )

@@ -164,12 +164,25 @@ class PEStateArrays:
             raise ValueError("replica_view requires batched state (replicas=R)")
         if not 0 <= replica < self.replicas:
             raise ValueError(f"replica {replica} outside [0, {self.replicas})")
+        return self._view(replica, None)
+
+    def as_batch(self) -> "PEStateArrays":
+        """A ``(1, P)``-shaped state sharing this (unbatched) state's memory.
+
+        The inverse of :meth:`replica_view`, for one-replica batches.
+        """
+        if self.replicas is not None:
+            raise ValueError("as_batch requires unbatched state")
+        return self._view(None, 1)
+
+    def _view(self, index: Optional[int], replicas: Optional[int]) -> "PEStateArrays":
+        """State whose vectors are ``array[index]`` views of this one's."""
         view = PEStateArrays.__new__(PEStateArrays)
-        view.clock = self.clock[replica]
-        view.busy_time = self.busy_time[replica]
-        view.lb_time = self.lb_time[replica]
+        view.clock = self.clock[index]
+        view.busy_time = self.busy_time[index]
+        view.lb_time = self.lb_time[index]
         view.speed = self.speed
-        view.replicas = None
+        view.replicas = replicas
         return view
 
     def now(self) -> float:

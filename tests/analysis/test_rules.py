@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import lint_source
+from repro.analysis.rules_hotloop import HOT_REGIONS, _qualified_functions
 
 #: One representative violating snippet per rule:
 #: rule id -> (source, lint path).  The suppression test below derives its
@@ -255,6 +259,16 @@ class TestHotLoopNegatives:
             "        return [row for row in rows]\n"
         )
         assert _rules_of(lint_source(source, "repro/batch/runner.py")) == []
+
+
+def test_every_hot_region_names_a_def_in_src():
+    """A renamed or deleted hot loop must not silently disable HOT/FLOW-HOT."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    for module_path, regions in HOT_REGIONS.items():
+        tree = ast.parse((src / module_path).read_text())
+        defined = {name for name, _ in _qualified_functions(tree)}
+        missing = sorted(set(regions) - defined)
+        assert not missing, f"{module_path}: no def for {missing}"
 
 
 class TestApiNegatives:

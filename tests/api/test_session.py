@@ -229,7 +229,7 @@ class TestComponentSession:
             runner_config=RunnerConfig(lb_cost_prior=0.125),
             seed=0,
         )
-        assert session.runner.initial_lb_cost_estimate == 0.125
+        assert session.runner.engine.initial_lb_cost_estimates[0] == 0.125
 
     def test_topology_controls_gossip(self):
         spec = ScenarioSpec(num_pes=4, columns_per_pe=8, rows=8, iterations=10, seed=0)
@@ -240,4 +240,4 @@ class TestComponentSession:
             topology=TopologyConfig(use_gossip=False),
             seed=0,
         )
-        assert session.runner.wir_db.use_gossip is False
+        assert session.runner.engine.wir_db.use_gossip is False

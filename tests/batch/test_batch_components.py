@@ -9,10 +9,13 @@ regression points at the broken layer directly.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.lb.wir import BatchWIRDatabase, WIRDatabase, WIREstimateArray
+from repro.lb.wir import BatchWIRDatabase, WIREstimateArray
 from repro.simcluster.gossip import BatchGossipBoard, GossipBoard, GossipConfig
 from repro.simcluster.pe import PEStateArrays
 from repro.utils.stats import mean_confidence_interval
@@ -108,6 +111,38 @@ class TestBatchGossipBoard:
         with pytest.raises(ValueError, match="replicas, ranks"):
             batch.publish_all(np.zeros(4))
 
+    def test_one_replica_step_peak_memory_matches_solo(self):
+        """A one-replica round allocates no more than a solo board's round.
+
+        The key draw goes straight into one preallocated buffer that is
+        freed before the merge, so the transient peak of ``step()`` stays
+        within 5 % of the solo board's on the same state.
+        """
+        num_ranks, seed = 256, 7
+        solo = GossipBoard(num_ranks, seed=seed)
+        batch = BatchGossipBoard(num_ranks, [seed])
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            values = rng.random(num_ranks)
+            solo.publish_all(values)
+            batch.publish_all(values[None, :])
+            solo.step()
+            batch.step()
+
+        def step_peak(board):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                board.step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solo_peak, batch_peak = step_peak(solo), step_peak(batch)
+        assert batch_peak <= 1.05 * solo_peak, (batch_peak, solo_peak)
+        for rank in range(num_ranks):
+            assert batch.local_view(0, rank) == solo.local_view(rank)
+
 
 class TestBatchedWIREstimators:
     def test_batched_ema_matches_solo_arrays(self):
@@ -133,6 +168,23 @@ class TestBatchedWIREstimators:
         assert np.allclose(rates[0], 0.5 * 0.0 + 0.5 * rates_before[0])
         assert (rates[1] > rates[0]).all()
 
+    def test_reset_several_replicas_after_migration(self):
+        batch = WIREstimateArray(4, replicas=3)
+        single = WIREstimateArray(4, replicas=3)
+        for b in (batch, single):
+            b.observe(np.ones((3, 4)))
+            b.observe(np.full((3, 4), 2.0))
+        anchors = np.array([[9.0] * 4, [7.0] * 4])
+        batch.reset_replica_after_migration([0, 2], anchors)
+        single.reset_replica_after_migration(0, anchors[0])
+        single.reset_replica_after_migration(2, anchors[1])
+        w = np.full((3, 4), 9.0)
+        assert np.array_equal(batch.observe(w), single.observe(w))
+        with pytest.raises(ValueError, match="one entry per PE"):
+            batch.reset_replica_after_migration([0, 1], anchors[:1])
+        with pytest.raises(ValueError, match="outside"):
+            batch.reset_replica_after_migration([0, 3], anchors)
+
     def test_reset_replica_requires_batched_form(self):
         with pytest.raises(ValueError, match="replicas"):
             WIREstimateArray(4).reset_replica_after_migration(0, np.zeros(4))
@@ -151,28 +203,57 @@ class TestBatchedWIREstimators:
 class TestBatchWIRDatabase:
     @pytest.mark.parametrize("use_gossip", [True, False])
     def test_views_match_solo_databases(self, use_gossip):
+        """Replica views equal scalar references: solo gossip boards, or
+        (instant mode) the last published values, known to every rank."""
         replicas, num_ranks = 3, 8
         seeds = [50 + r for r in range(replicas)]
-        solos = [
-            WIRDatabase(num_ranks, use_gossip=use_gossip, seed=s) for s in seeds
-        ]
+        solos = [GossipBoard(num_ranks, seed=s) for s in seeds]
         batch = BatchWIRDatabase(num_ranks, seeds, use_gossip=use_gossip)
         rng = np.random.default_rng(1)
         for _ in range(15):
             wirs = rng.random((replicas, num_ranks))
-            for r, db in enumerate(solos):
-                db.publish_all(wirs[r])
-                db.disseminate()
+            for r, board in enumerate(solos):
+                board.publish_all(wirs[r])
+                board.step()
             batch.publish_all(wirs)
             batch.disseminate()
-        for r, db in enumerate(solos):
+        for r, board in enumerate(solos):
+            if use_gossip:
+                expected = [board.local_view(rank) for rank in range(num_ranks)]
+            else:
+                expected = [dict(enumerate(wirs[r].tolist()))] * num_ranks
             facade = batch.replica(r)
             assert facade.num_ranks == num_ranks
             for rank in range(num_ranks):
-                assert facade.view(rank) == db.view(rank)
+                assert facade.view(rank) == expected[rank]
             views = facade.views()
             assert len(views) == num_ranks
-            assert views[0] == db.view(0)
+            assert views[0] == expected[0]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"use_gossip": False},
+            {},
+            {"gossip_config": GossipConfig(mode="sparse", view_size=3)},
+        ],
+        ids=["instant", "dense", "sparse"],
+    )
+    def test_publish_one_replica_row_matches_per_rank_publish(self, kwargs):
+        row_db = BatchWIRDatabase(6, [0, 1, 2], **kwargs)
+        rank_db = BatchWIRDatabase(6, [0, 1, 2], **kwargs)
+        values = np.arange(6.0) + 0.5
+        row_db.publish_all(values, replica=1)
+        for rank, value in enumerate(values.tolist()):
+            rank_db.publish(1, rank, value)
+        for replica in range(3):
+            for rank in range(6):
+                assert row_db.view(replica, rank) == rank_db.view(replica, rank)
+        assert row_db.own_rate(0, 0) is None
+        with pytest.raises(ValueError, match="ranks"):
+            row_db.publish_all(np.zeros((3, 6)), replica=1)
+        with pytest.raises(ValueError, match="replica"):
+            row_db.publish_all(values, replica=3)
 
     def test_bounds_checked(self):
         batch = BatchWIRDatabase(4, [0, 1], use_gossip=False)

@@ -8,6 +8,7 @@ import pytest
 from repro.batch import BatchResult, BatchRunner
 from repro.lb.registry import make_policy_pair
 from repro.runtime.synthetic import SyntheticGrowthApplication
+from repro.simcluster.cluster import VirtualCluster
 
 
 def make_apps(replicas, num_pes=8, columns_per_pe=8):
@@ -60,6 +61,38 @@ class TestConstruction:
         assert runner.state.clock.shape == (3, 8)
         assert len(runner.clusters) == 3
         assert runner.clusters[1].state.clock.base is runner.state.clock
+
+    def test_caller_cluster_needs_one_replica_of_its_size(self):
+        with pytest.raises(ValueError, match="exactly one replica"):
+            BatchRunner(8, make_apps(2), seeds=[0, 1], cluster=VirtualCluster(8))
+        with pytest.raises(ValueError, match="exactly one replica"):
+            BatchRunner(8, make_apps(1), seeds=[0], cluster=VirtualCluster(4))
+
+    def test_observers_need_an_unchunked_run(self):
+        with pytest.raises(ValueError, match="unchunked"):
+            BatchRunner(
+                8,
+                make_apps(2),
+                seeds=[0, 1],
+                memory_budget_bytes=1,
+                on_lb_step=lambda replica, iteration, report: None,
+            )
+
+    def test_observers_see_every_replica(self):
+        elapsed, steps = [], []
+        runner = BatchRunner(
+            8,
+            make_apps(2),
+            seeds=[0, 1],
+            on_iteration=lambda it, times: elapsed.append(times.copy()),
+            on_lb_step=lambda replica, it, report: steps.append((replica, it, report)),
+        )
+        result = runner.run(30)
+        assert steps
+        assert np.array_equal(np.stack(elapsed), result.iteration_time_trajectories().T)
+        for r, replica in enumerate(result):
+            assert [s[2] for s in steps if s[0] == r] == replica.lb_reports
+            assert [s[1] for s in steps if s[0] == r] == [rep.iteration for rep in replica.lb_reports]
 
 
 class TestBatchResult:

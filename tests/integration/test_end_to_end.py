@@ -166,4 +166,4 @@ class TestSyntheticWorkloadPipeline:
         )
         result = runner.run(80)
         assert result.num_lb_calls >= 1
-        assert runner.partition.stripe_widths()[0] < 16
+        assert runner.engine.partitions[0].stripe_widths()[0] < 16

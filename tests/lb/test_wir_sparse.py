@@ -5,7 +5,7 @@ WIR database surfaces them through the same API as early-phase dense gossip
 (so the ULBA policies run unchanged), that the dense ``complete_matrix``
 fast paths degrade gracefully (return ``None``, never a wrong matrix), and
 that the batched database's sparse replicas are bit-identical to solo
-sparse databases.
+sparse boards.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.lb.wir import BatchWIRDatabase, WIRDatabase
 from repro.runtime.skeleton import IterativeRunner, initial_lb_cost_prior
 from repro.runtime.synthetic import SyntheticGrowthApplication
 from repro.simcluster.cluster import VirtualCluster
-from repro.simcluster.gossip import GossipConfig
+from repro.simcluster.gossip import GossipBoard, GossipConfig, SparseGossipBoard
 
 SPARSE = GossipConfig(mode="sparse", view_size=6, fanout=2)
 
@@ -108,7 +108,7 @@ class TestBatchSparseDatabase:
     def test_replicas_bit_identical_to_solo(self):
         num, seeds = 10, [5, 6, 7]
         batch = BatchWIRDatabase(num, seeds, gossip_config=SPARSE)
-        solos = [WIRDatabase(num, gossip_config=SPARSE, seed=s) for s in seeds]
+        solos = [SparseGossipBoard(num, config=SPARSE, seed=s) for s in seeds]
         rng = np.random.default_rng(0)
         for _ in range(12):
             wirs = rng.normal(size=(len(seeds), num))
@@ -117,14 +117,14 @@ class TestBatchSparseDatabase:
                 solo.publish_all(wirs[r])
             batch.disseminate()
             for solo in solos:
-                solo.disseminate()
+                solo.step()
         for r, solo in enumerate(solos):
             for rank in range(num):
-                assert batch.view(r, rank) == solo.view(rank)
+                assert batch.view(r, rank) == solo.local_view(rank)
                 assert np.array_equal(
-                    batch.known_values(r, rank), solo.known_values(rank)
+                    batch.known_values(r, rank), solo.known_values_row(rank)
                 )
-                assert batch.own_rate(r, rank) == solo.own_rate(rank)
+                assert batch.own_rate(r, rank) == solo.own_value(rank)
             assert batch.complete_matrix(r) is None
 
     @pytest.mark.parametrize("topology", ["ring", "hypercube"])
@@ -138,7 +138,7 @@ class TestBatchSparseDatabase:
         num, seeds = 8, [0, 1]
         config = GossipConfig(topology=topology, fanout=1)
         batch = BatchWIRDatabase(num, seeds, gossip_config=config)
-        solos = [WIRDatabase(num, gossip_config=config, seed=s) for s in seeds]
+        solos = [GossipBoard(num, config=config, seed=s) for s in seeds]
         values = np.arange(float(num))
         batch.publish_all(np.tile(values, (len(seeds), 1)))
         for solo in solos:
@@ -146,10 +146,10 @@ class TestBatchSparseDatabase:
         for _ in range(4):
             batch.disseminate()
             for solo in solos:
-                solo.disseminate()
+                solo.step()
         for r, solo in enumerate(solos):
             for rank in range(num):
-                assert batch.view(r, rank) == solo.view(rank)
+                assert batch.view(r, rank) == solo.local_view(rank)
 
     def test_replica_facade_serves_lazy_views(self):
         batch = BatchWIRDatabase(8, [0, 1], gossip_config=SPARSE)
@@ -203,7 +203,7 @@ class TestRunnerWithSparseGossip:
     def test_board_memory_stays_bounded(self):
         runner = self.make_runner(num_pes=64)
         runner.run(10)
-        board = runner.wir_db._board
+        (board,) = runner.engine.wir_db._sparse_boards
         assert board.nbytes == SPARSE.board_nbytes(64)
 
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.partitioning.weighted import (
     Partition1D,
+    _sequential_cuts,
     partition_contiguous,
+    partition_contiguous_rows,
     target_shares_from_alphas,
 )
 
@@ -191,3 +193,81 @@ class TestPartitionContiguous:
         p = partition_contiguous(np.ones(num_items), num_parts)
         sizes = p.part_sizes()
         assert sizes.max() - sizes.min() <= 1 + num_items // num_parts // 8
+
+
+def _greedy_oracle(weights, num_parts, shares):
+    """The exact sequential greedy cuts, from 1-D prefix sums of one row."""
+    w = np.asarray(weights, dtype=float)
+    if w.sum() <= 0.0:
+        return tuple(np.linspace(0, w.size, num_parts + 1).round().astype(int).tolist())
+    if num_parts == 1:
+        return (0, w.size)
+    shares = np.asarray(shares, dtype=float)
+    prefix = np.concatenate([[0.0], np.cumsum(w)])
+    targets = np.cumsum(shares / shares.sum()) * w.sum()
+    return _sequential_cuts(prefix, targets, w.size, num_parts)
+
+
+class TestPartitionContiguousRows:
+    @given(
+        data=st.data(),
+        num_rows=st.integers(min_value=1, max_value=4),
+        num_parts=st.integers(min_value=1, max_value=6),
+        num_items=st.integers(min_value=6, max_value=40),
+    )
+    def test_property_rows_match_sequential_greedy(
+        self, data, num_rows, num_parts, num_items
+    ):
+        """Every row's cuts equal the exact sequential greedy placement of
+        that row alone -- zero-weight runs (which send the vectorized fast
+        path to the fallback loop) and all-zero rows included."""
+        cell = st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-3, 7.0, 1e3])
+        weights = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(cell, min_size=num_items, max_size=num_items),
+                    min_size=num_rows,
+                    max_size=num_rows,
+                )
+            )
+        )
+        shares = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(
+                        st.sampled_from([0.0, 0.3, 1.0, 2.0]),
+                        min_size=num_parts,
+                        max_size=num_parts,
+                    ).filter(lambda row: sum(row) > 0.0),
+                    min_size=num_rows,
+                    max_size=num_rows,
+                )
+            )
+        )
+        parts = partition_contiguous_rows(weights, num_parts, shares)
+        assert len(parts) == num_rows
+        for row in range(num_rows):
+            expected = _greedy_oracle(weights[row], num_parts, shares[row])
+            assert parts[row].boundaries == expected
+            single = partition_contiguous(weights[row], num_parts, shares[row])
+            assert single.boundaries == expected
+
+    def test_even_rows_match_even_split(self):
+        weights = np.array([[1.0] * 12, [3.0] * 6 + [1.0] * 6])
+        parts = partition_contiguous_rows(weights, 3, np.full((2, 3), 1.0 / 3))
+        assert parts[0].boundaries == partition_contiguous(weights[0], 3).boundaries
+        assert parts[1].boundaries == partition_contiguous(weights[1], 3).boundaries
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="rows, items"):
+            partition_contiguous_rows(np.ones(4), 2, [[0.5, 0.5]])
+        with pytest.raises(ValueError, match=">= 0"):
+            partition_contiguous_rows(np.array([[1.0, -1.0]]), 2, [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="non-empty parts"):
+            partition_contiguous_rows(np.ones((1, 2)), 3, [[1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            partition_contiguous_rows(np.ones((2, 4)), 2, [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="target_shares must all"):
+            partition_contiguous_rows(np.ones((1, 4)), 2, [[-1.0, 2.0]])
+        with pytest.raises(ValueError, match="positive"):
+            partition_contiguous_rows(np.ones((1, 4)), 2, [[0.0, 0.0]])

@@ -10,7 +10,7 @@ Two layers of protection against silent numerical drift in the hot paths:
   re-pinned when gossip peer selection moved to one batched RNG draw per
   round (see the fixture file's ``_note``).
 * **reference-core comparison**: the frozen loop implementation in
-  :mod:`repro.runtime.reference`, driven with the same batched peer
+  ``reference_core.py`` (next to this file), driven with the same batched peer
   selection, must produce *exactly* the same trace totals and LB-call
   iterations as the vectorized core -- the vectorization itself (array
   state, batched EMA, matrix gossip merge, ``reduceat`` stripe sums, lazy
@@ -19,6 +19,7 @@ Two layers of protection against silent numerical drift in the hot paths:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -29,15 +30,24 @@ from repro.erosion.app import ErosionApplication, ErosionConfig
 from repro.lb.adaptive import DegradationTrigger, ULBADegradationTrigger
 from repro.lb.standard import StandardPolicy
 from repro.lb.ulba import ULBAPolicy
-from repro.runtime.reference import (
-    ReferenceIterativeRunner,
-    ReferenceVirtualCluster,
-)
 from repro.runtime.skeleton import IterativeRunner, initial_lb_cost_prior
 from repro.runtime.synthetic import SyntheticGrowthApplication
 from repro.simcluster.cluster import VirtualCluster
 
 FIXTURE_PATH = Path(__file__).parent / "golden_seed_fixtures.json"
+
+
+def _reference_core():
+    path = Path(__file__).with_name("reference_core.py")
+    spec = importlib.util.spec_from_file_location("reference_core", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_REFERENCE = _reference_core()
+ReferenceIterativeRunner = _REFERENCE.ReferenceIterativeRunner
+ReferenceVirtualCluster = _REFERENCE.ReferenceVirtualCluster
 
 SEED = 11
 CASES = {

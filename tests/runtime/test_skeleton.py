@@ -62,6 +62,41 @@ class TestIterativeRunner:
         with pytest.raises(ValueError):
             runner.run(0)
 
+    def test_negative_loads_rejected(self):
+        app = synthetic_app()
+        app._loads[:16] = -1.0  # stripe 0 of 4x16 columns
+        runner = IterativeRunner(VirtualCluster(4), app, trigger_policy=NeverTrigger())
+        with pytest.raises(ValueError, match=">= 0"):
+            runner.run(5)
+
+    def test_runs_on_the_callers_cluster_state(self):
+        cluster = VirtualCluster(4)
+        runner = IterativeRunner(cluster, synthetic_app(), trigger_policy=PeriodicTrigger(period=4))
+        assert runner.engine.clusters == [cluster]
+        for name in ("clock", "busy_time", "lb_time"):
+            assert np.shares_memory(getattr(runner.engine.state, name), getattr(cluster.state, name))
+        result = runner.run(10)
+        assert cluster.now == max(
+            [cluster.trace.iterations[-1].timestamp] + [e.timestamp for e in cluster.trace.lb_events]
+        )
+        assert cluster.busy_times().sum() > 0.0
+        assert result.trace is cluster.trace
+
+    def test_observers_see_every_iteration_and_lb_step(self):
+        seen, lb_seen = [], []
+        cluster = VirtualCluster(4)
+        runner = IterativeRunner(
+            cluster,
+            synthetic_app(),
+            trigger_policy=PeriodicTrigger(period=4),
+            on_iteration=lambda it, elapsed: seen.append((it, elapsed)),
+            on_lb_step=lambda it, report: lb_seen.append((it, report)),
+        )
+        result = runner.run(10)
+        assert seen == [(r.iteration, r.elapsed) for r in cluster.trace.iterations]
+        assert all(type(elapsed) is float for _, elapsed in seen)
+        assert lb_seen and lb_seen == [(r.iteration, r) for r in result.lb_reports]
+
     def test_periodic_trigger_invokes_lb(self):
         cluster = VirtualCluster(4)
         runner = IterativeRunner(
@@ -77,11 +112,12 @@ class TestIterativeRunner:
         cluster = VirtualCluster(4)
         app = synthetic_app(hot=((0, 4),))
         runner = IterativeRunner(cluster, app, trigger_policy=PeriodicTrigger(period=5))
-        initial_boundaries = runner.partition.partition.boundaries
+        initial_boundaries = runner.engine.partitions[0].partition.boundaries
         runner.run(15)
-        assert runner.partition.partition.boundaries != initial_boundaries
+        partition = runner.engine.partitions[0]
+        assert partition.partition.boundaries != initial_boundaries
         # The hot stripe (columns 0-3) shrinks below the uniform width.
-        assert runner.partition.stripe_widths()[0] < 16
+        assert partition.stripe_widths()[0] < 16
 
     def test_degradation_trigger_balances_imbalanced_app(self):
         cluster = VirtualCluster(4)
@@ -120,7 +156,7 @@ class TestIterativeRunner:
         )
         runner.run(12)
         # After the last LB call the accumulated degradation starts from 0.
-        assert runner.degradation.iterations_since_reset <= 12
+        assert runner.engine.degradation.iterations_since_reset(0) <= 12
 
     def test_wir_estimates_track_hot_stripe(self):
         cluster = VirtualCluster(4, cost_model=CommCostModel.free())
@@ -129,7 +165,7 @@ class TestIterativeRunner:
             cluster, app, trigger_policy=NeverTrigger(), use_gossip=False
         )
         runner.run(20)
-        rates = [est.rate for est in runner.wir_estimates]
+        rates = runner.engine.wir_estimates.rates[0].tolist()
         assert rates[0] == max(rates)
         assert rates[0] > 10 * max(rates[1:])
 
@@ -139,7 +175,7 @@ class TestIterativeRunner:
             cluster, synthetic_app(), trigger_policy=NeverTrigger(), use_gossip=False
         )
         runner.run(3)
-        assert all(runner.wir_db.coverage(r) == 1.0 for r in range(4))
+        assert all(runner.engine.wir_db.replica(0).coverage(r) == 1.0 for r in range(4))
 
     def test_gossip_wir_database_converges_over_run(self):
         cluster = VirtualCluster(8)
@@ -151,7 +187,7 @@ class TestIterativeRunner:
             seed=3,
         )
         runner.run(25)
-        assert all(runner.wir_db.coverage(r) == 1.0 for r in range(8))
+        assert all(runner.engine.wir_db.replica(0).coverage(r) == 1.0 for r in range(8))
 
     def test_deterministic_given_seed(self, tiny_erosion_config):
         def run_once():
@@ -206,7 +242,7 @@ class TestIterativeRunner:
             trigger_policy=NeverTrigger(),
             initial_lb_cost_estimate=123.0,
         )
-        assert runner._average_lb_cost() == 123.0
+        assert runner.engine._average_lb_cost(0) == 123.0
 
     def test_measured_lb_cost_replaces_estimate(self):
         cluster = VirtualCluster(4)
@@ -217,5 +253,7 @@ class TestIterativeRunner:
             initial_lb_cost_estimate=123.0,
         )
         runner.run(10)
-        assert runner._average_lb_cost() != 123.0
-        assert runner._average_lb_cost() == pytest.approx(runner.load_balancer.average_cost)
+        assert runner.engine._average_lb_cost(0) != 123.0
+        assert runner.engine._average_lb_cost(0) == pytest.approx(
+            runner.engine.load_balancers[0].average_cost
+        )

@@ -310,9 +310,16 @@ class TestSelectPushTargets:
 
 class TestVectorizedAgainstReferenceBoard:
     def test_identical_views_under_shared_selection(self):
+        import importlib.util
+        from pathlib import Path
+
         import numpy as np
 
-        from repro.runtime.reference import ReferenceGossipBoard
+        path = Path(__file__).resolve().parents[1] / "runtime" / "reference_core.py"
+        spec = importlib.util.spec_from_file_location("reference_core", path)
+        reference_core = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference_core)
+        ReferenceGossipBoard = reference_core.ReferenceGossipBoard
 
         rng = np.random.default_rng(13)
         for trial in range(10):

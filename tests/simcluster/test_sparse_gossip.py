@@ -18,7 +18,6 @@ from repro.simcluster.gossip import (
     GossipBoard,
     GossipConfig,
     SparseGossipBoard,
-    make_gossip_board,
     sparse_random_push_targets,
     topology_push_targets,
 )
@@ -57,13 +56,6 @@ class TestGossipConfigValidation:
         assert sparse.board_nbytes(4096) == 4096 * 64 * 24
         # The sparse bound never exceeds P entries even with a huge view.
         assert GossipConfig(mode="sparse", view_size=10_000).board_nbytes(16) == 16 * 16 * 24
-
-    def test_make_gossip_board_dispatch(self):
-        assert isinstance(make_gossip_board(8), GossipBoard)
-        assert isinstance(
-            make_gossip_board(8, config=GossipConfig(mode="sparse")),
-            SparseGossipBoard,
-        )
 
     def test_board_size_bounded_by_packed_merge_keys(self):
         # The eviction key packs two ranks and a 31-bit age into an int64.
