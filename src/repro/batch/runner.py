@@ -18,7 +18,7 @@ Control flow that genuinely diverges per replica -- the LB trigger decision,
 the centralized LB step, partitions -- stays per-replica, running the
 per-replica components against NumPy row views of the shared state; the
 LB steps of the replicas that fire in the same iteration share one stacked
-policy decision and one partitioning pass
+policy decision, partitioning, migration accounting and cost charge
 (:meth:`~repro.lb.centralized.CentralizedLoadBalancer.execute_many`).
 Replicas share no state, so replica ``r`` of an ``R``-replica batch is
 bit-identical to a one-replica run with seed ``seeds[r]``
@@ -516,7 +516,7 @@ class BatchRunner:
         ``None`` flags a partition with empty stripes, which ``reduceat``
         mishandles and the prefix-sum fallback serves instead.
         """
-        bounds = np.asarray(partition.partition.boundaries)
+        bounds = partition.partition.bounds
         starts = bounds[:-1]
         if (bounds[1:] > starts).all():
             return starts
@@ -527,9 +527,8 @@ class BatchRunner:
         starts = self._stripe_starts[replica]
         if starts is not None:
             return np.add.reduceat(column_loads, starts)
-        # repro: noqa[HOT003] -- degenerate-partition fallback: reached only when a stripe is empty, never on the steady-state path
-        bounds = np.asarray(self.partitions[replica].partition.boundaries)
-        # repro: noqa[HOT003] -- same fallback path; the reduceat fast path above serves every non-degenerate iteration
+        bounds = self.partitions[replica].partition.bounds
+        # repro: noqa[HOT003] -- degenerate-partition fallback: reached only when a stripe is empty; the reduceat fast path above serves every non-degenerate iteration
         prefix = np.concatenate(([0.0], np.cumsum(column_loads)))
         return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
@@ -615,8 +614,8 @@ class BatchRunner:
 
         The steps of one iteration execute together
         (:meth:`CentralizedLoadBalancer.execute_many` vectorizes the policy
-        decisions and the partitioning across them); every replica's report
-        and state equal those of its own one-replica run.
+        decisions, partitioning and charging across them); every replica's
+        report and state equal those of its own one-replica run.
         """
         balancers: List[CentralizedLoadBalancer] = []
         partitions: List[StripePartition] = []

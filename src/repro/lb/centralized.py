@@ -86,24 +86,14 @@ class CentralizedLoadBalancer:
         self.partitioner = StripePartitioner(cluster.size)
         #: Running history of LB step reports.
         self.history: list[LBStepReport] = []
-        self._average_cache: "tuple[int, float]" = (0, 0.0)
+        #: Step costs of ``history``, filled prefix only (grown by doubling).
+        self._costs = np.empty(8)
 
     # ------------------------------------------------------------------
     @property
     def average_cost(self) -> float:
-        """Average virtual cost of the LB steps performed so far (seconds).
-
-        Memoized on the history length: the runner reads this every
-        iteration while the history only grows at LB steps, so the mean is
-        recomputed only when a new report was appended.
-        """
-        if not self.history:
-            return 0.0
-        cached_len, cached_mean = self._average_cache
-        if cached_len != len(self.history):
-            cached_mean = float(np.mean([report.cost for report in self.history]))
-            self._average_cache = (len(self.history), cached_mean)
-        return cached_mean
+        """Average virtual cost of the LB steps performed so far (seconds)."""
+        return float(self._costs[: len(self.history)].mean()) if self.history else 0.0
 
     def execute(
         self,
@@ -138,9 +128,11 @@ class CentralizedLoadBalancer:
 
         Balancer ``i`` runs one step on ``contexts[i]``, row ``i`` of the
         ``(k, columns)`` ``column_loads`` and ``current_partitions[i]``.
-        The policy decisions and the partitioning of all ``k`` steps are
-        vectorized (see :meth:`WorkloadPolicy.decide_many` and
-        :meth:`StripePartitioner.partition_rows`); the reports, the charged
+        The policy decisions, the partitioning, the migration accounting and
+        the cost charging of all ``k`` steps are vectorized (see
+        :meth:`WorkloadPolicy.decide_many`,
+        :meth:`StripePartitioner.partition_rows` and
+        :meth:`VirtualCluster.charge_lb_steps`); the reports, the charged
         costs and every balancer's state equal those of ``k`` one-balancer
         calls (:meth:`execute` is the ``k = 1`` case).
         """
@@ -153,73 +145,80 @@ class CentralizedLoadBalancer:
         partitions = balancers[0].partitioner.partition_rows(
             loads, [decision.target_shares for decision in decisions]
         )
-        return [
-            balancer._charge(
-                context, decision, partition, *_migration(row, current, partition)
-            )
-            for balancer, context, decision, partition, row, current in zip(
-                balancers, contexts, decisions, partitions, loads, current_partitions
+        migrated, per_pe = _migrated_loads(loads, current_partitions, partitions)
+        costs = VirtualCluster.charge_lb_steps(
+            [balancer.cluster for balancer in balancers],
+            iterations=[context.iteration for context in contexts],
+            partition_seconds=[
+                b.partition_flop_per_column * loads.shape[1] / b.cluster.pe_speed
+                for b in balancers
+            ],
+            migration_bytes=per_pe * np.array([[b.bytes_per_load_unit] for b in balancers]),
+            roots=[balancer.root for balancer in balancers],
+        )
+        reports = [
+            LBStepReport(context.iteration, decision, partition, load, cost)
+            for context, decision, partition, load, cost in zip(
+                contexts, decisions, partitions, migrated, costs
             )
         ]
-
-    def _charge(
-        self,
-        context: LBContext,
-        decision: LBDecision,
-        new_partition: StripePartition,
-        migrated: float,
-        per_pe_migrated: np.ndarray,
-    ) -> LBStepReport:
-        """Charge one step's virtual cost and record its report."""
-        partition_seconds = (
-            self.partition_flop_per_column
-            * new_partition.num_columns
-            / self.cluster.pes[self.root].speed
-        )
-        cost = self.cluster.charge_lb_step(
-            iteration=context.iteration,
-            partition_seconds=partition_seconds,
-            migration_bytes_per_pe=per_pe_migrated * self.bytes_per_load_unit,
-            root=self.root,
-        )
-
-        report = LBStepReport(
-            iteration=context.iteration,
-            decision=decision,
-            partition=new_partition,
-            migrated_load=migrated,
-            cost=cost,
-        )
-        self.history.append(report)
-        self.policy.notify_balanced(context, decision)
-        return report
+        for balancer, context, report in zip(balancers, contexts, reports):
+            count = len(balancer.history)
+            if count == balancer._costs.size:
+                balancer._costs = np.concatenate((balancer._costs, np.empty(count)))
+            balancer._costs[count] = report.cost
+            balancer.history.append(report)
+            balancer.policy.notify_balanced(context, report.decision)
+        return reports
 
 
-def _migration(
+def _migrated_loads(
     loads: np.ndarray,
-    old_partition: Optional[StripePartition],
-    new_partition: StripePartition,
-) -> "tuple[float, np.ndarray]":
-    """Migrated load and per-PE migration volume of one repartitioning.
+    old_partitions: "Sequence[Optional[StripePartition]]",
+    new_partitions: Sequence[StripePartition],
+) -> "tuple[List[float], np.ndarray]":
+    """Migrated load and per-PE migration volume of ``k`` repartitionings.
 
-    The total equals ``partitioning.metrics.migration_volume``; a PE's
-    volume is the load of the columns it sends plus the load of the
-    columns it receives (both cross its NIC).  Without an
-    ``old_partition`` every cell counts as moved, spread evenly.
+    Row ``i`` of ``loads`` moves from ``old_partitions[i]`` to
+    ``new_partitions[i]``.  A row's total equals
+    ``partitioning.metrics.migration_volume``; a PE's volume is the load it
+    sends plus the load it receives.  Without an old partition every cell
+    counts as moved, spread evenly.  Each ``bincount`` bin (``row * P +
+    owner``) sums the same loads in the same order as a per-row one would.
     """
-    num_pes = new_partition.num_pes
-    if old_partition is None:
-        migrated = float(loads.sum())
-        return migrated, np.full(num_pes, migrated / num_pes)
-    if old_partition.num_columns != new_partition.num_columns:
-        raise ValueError(
-            "current_partition does not cover the same number of "
-            "columns as the new partition"
-        )
-    old_owners = old_partition.partition.owners()
-    new_owners = new_partition.partition.owners()
-    moved = old_owners != new_owners
-    moved_loads = loads[moved]
-    sent = np.bincount(old_owners[moved], weights=moved_loads, minlength=num_pes)
-    received = np.bincount(new_owners[moved], weights=moved_loads, minlength=num_pes)
-    return float(moved_loads.sum()), sent + received
+    num_rows, num_columns = loads.shape
+    num_pes = new_partitions[0].num_pes
+    migrated = [0.0] * num_rows
+    per_pe = np.empty((num_rows, num_pes))
+    rows = []
+    for i, old in enumerate(old_partitions):
+        if old is None:
+            migrated[i] = float(loads[i].sum())
+            per_pe[i] = migrated[i] / num_pes
+        elif old.num_columns != num_columns:
+            raise ValueError(
+                "current_partition does not cover the same number of "
+                "columns as the new partition"
+            )
+        else:
+            rows.append(i)
+    if not rows:
+        return migrated, per_pe
+    # Old and new owners: the only (k * columns) arrays, so the smallest dtype.
+    ranks = np.arange(num_pes, dtype=np.min_scalar_type(num_pes - 1))
+    bounds = [parts[i].partition.bounds for parts in (old_partitions, new_partitions) for i in rows]
+    old_owners, new_owners = np.repeat(
+        np.tile(ranks, 2 * len(rows)), np.diff(bounds).ravel()
+    ).reshape(2, -1)
+    moved = np.flatnonzero(old_owners != new_owners)
+    moved_row = moved // num_columns
+    moved_loads = loads[np.asarray(rows)[moved_row], moved % num_columns]
+    row_base = moved_row * num_pes
+    bins = len(rows) * num_pes
+    sent = np.bincount(row_base + old_owners[moved], weights=moved_loads, minlength=bins)
+    received = np.bincount(row_base + new_owners[moved], weights=moved_loads, minlength=bins)
+    per_pe[rows] = (sent + received).reshape(len(rows), num_pes)
+    ends = np.searchsorted(moved, np.arange(1, len(rows) + 1) * num_columns).tolist()
+    for i, start, stop in zip(rows, [0] + ends[:-1], ends):
+        migrated[i] = float(moved_loads[start:stop].sum())
+    return migrated, per_pe

@@ -32,7 +32,7 @@ from repro.utils.validation import check_positive_int
 __all__ = ["StripePartition", "StripePartitioner"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StripePartition:
     """Assignment of domain columns to PEs.
 
@@ -42,11 +42,30 @@ class StripePartition:
         The underlying contiguous 1-D partition of column indices.
     column_loads:
         Per-column workload used to build the partition (kept for
-        diagnostics and for migration-volume estimation).
+        diagnostics and for migration-volume estimation), as a read-only
+        float64 array; a writeable array or a sequence is copied.  Partitions
+        compare equal when their boundaries and loads do.
     """
 
     partition: Partition1D
-    column_loads: Tuple[float, ...]
+    column_loads: np.ndarray
+
+    def __post_init__(self) -> None:
+        loads = np.asarray(self.column_loads, dtype=float)
+        if loads.flags.writeable:
+            loads = loads.copy()
+            loads.flags.writeable = False
+        object.__setattr__(self, "column_loads", loads)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StripePartition):
+            return NotImplemented
+        return self.partition == other.partition and np.array_equal(
+            self.column_loads, other.column_loads
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.partition, self.column_loads.tobytes()))
 
     # ------------------------------------------------------------------
     @property
@@ -73,14 +92,9 @@ class StripePartition:
 
     def stripe_loads(self) -> np.ndarray:
         """Workload per stripe according to ``column_loads``."""
-        loads = np.asarray(self.column_loads, dtype=float)
+        bounds = self.partition.bounds
         return np.asarray(
-            [
-                loads[start:stop].sum()
-                for start, stop in (
-                    self.partition.part_range(p) for p in range(self.num_pes)
-                )
-            ]
+            [self.column_loads[start:stop].sum() for start, stop in zip(bounds, bounds[1:])]
         )
 
     def imbalance(self) -> float:
@@ -118,7 +132,7 @@ class StripePartitioner:
         """
         loads = np.asarray(column_loads, dtype=float)
         part = partition_contiguous(loads, self.num_pes, target_shares)
-        return StripePartition(partition=part, column_loads=tuple(loads.tolist()))
+        return StripePartition(partition=part, column_loads=loads)
 
     def partition_rows(
         self,
@@ -129,13 +143,15 @@ class StripePartitioner:
 
         Row ``i`` is split according to ``target_shares[i]``; one vectorized
         cut placement serves all rows and every partition equals the one
-        :meth:`partition` returns for that row alone.
+        :meth:`partition` returns for that row alone.  The partitions share
+        one read-only copy of ``column_loads``, one row each.
         """
-        loads = np.asarray(column_loads, dtype=float)
+        loads = np.array(column_loads, dtype=float)
+        loads.flags.writeable = False
         parts = partition_contiguous_rows(loads, self.num_pes, target_shares)
         return [
-            StripePartition(partition=part, column_loads=tuple(row))
-            for part, row in zip(parts, loads.tolist())
+            StripePartition(partition=part, column_loads=row)
+            for part, row in zip(parts, loads)
         ]
 
     def partition_with_alphas(

@@ -42,20 +42,23 @@ class Partition1D:
 
     ``boundaries`` has length ``num_parts + 1`` with ``boundaries[0] == 0``
     and ``boundaries[-1] == num_items``; part ``p`` owns the half-open item
-    range ``[boundaries[p], boundaries[p + 1])``.
+    range ``[boundaries[p], boundaries[p + 1])``.  ``bounds`` holds the same
+    values as a read-only int64 array.
     """
 
     boundaries: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.boundaries) < 2:
+        bounds = np.array(self.boundaries, dtype=np.int64)
+        if bounds.ndim != 1 or bounds.size < 2:
             raise ValueError("a partition needs at least 2 boundaries")
-        bounds = tuple(int(b) for b in self.boundaries)
         if bounds[0] != 0:
             raise ValueError("boundaries must start at 0")
-        if any(b2 < b1 for b1, b2 in zip(bounds, bounds[1:])):
+        if (bounds[1:] < bounds[:-1]).any():
             raise ValueError("boundaries must be non-decreasing")
-        object.__setattr__(self, "boundaries", bounds)
+        bounds.flags.writeable = False
+        object.__setattr__(self, "boundaries", tuple(bounds.tolist()))
+        object.__setattr__(self, "bounds", bounds)
 
     # ------------------------------------------------------------------
     @property
@@ -76,14 +79,13 @@ class Partition1D:
 
     def part_sizes(self) -> np.ndarray:
         """Number of items per part."""
-        bounds = np.asarray(self.boundaries)
-        return bounds[1:] - bounds[:-1]
+        return self.bounds[1:] - self.bounds[:-1]
 
     def owner_of(self, item: int) -> int:
         """Index of the part owning ``item``."""
         if not 0 <= item < self.num_items:
             raise ValueError(f"item {item} outside [0, {self.num_items})")
-        return int(np.searchsorted(np.asarray(self.boundaries), item, side="right") - 1)
+        return int(np.searchsorted(self.bounds, item, side="right") - 1)
 
     def owners(self) -> np.ndarray:
         """Array mapping every item index to its owning part."""
@@ -223,8 +225,7 @@ def partition_contiguous_rows(
     for row in range(rows):
         if totals[row] <= 0.0:
             # Degenerate: no workload at all -- split items evenly by count.
-            bounds = np.linspace(0, num_items, num_parts + 1).round().astype(int)
-            boundaries = tuple(bounds.tolist())
+            boundaries = np.linspace(0, num_items, num_parts + 1).round()
         elif num_parts == 1:
             boundaries = (0, num_items)
         elif feasible[row]:

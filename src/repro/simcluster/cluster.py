@@ -175,8 +175,8 @@ class VirtualCluster:
         the per-PE ``alpha`` values at the root, computing the partition on
         the root (``partition_seconds``), broadcasting it, and migrating the
         data.  Migration is modelled as a personalised exchange whose per-PE
-        volume is ``migration_bytes_per_pe`` (scalar or one entry per PE;
-        an ``ndarray`` is used without copying).
+        volume is ``migration_bytes_per_pe`` (scalar or one entry per PE).
+        This is the ``k = 1`` case of :meth:`charge_lb_steps`.
 
         Returns the total virtual duration of the LB step (which is also the
         amount added to every PE's ``lb_time``).
@@ -184,42 +184,67 @@ class VirtualCluster:
         check_non_negative(partition_seconds, "partition_seconds")
         if not 0 <= root < self.size:
             raise ValueError(f"root rank {root} outside [0, {self.size})")
-        if np.isscalar(migration_bytes_per_pe):
-            max_volume = float(migration_bytes_per_pe)
-            if max_volume < 0:
-                raise ValueError("migration volumes must all be >= 0")
-        else:
-            volumes = np.asarray(migration_bytes_per_pe, dtype=float)
-            if volumes.shape != (self.size,):
-                raise ValueError(
-                    "migration_bytes_per_pe must be a scalar or have one "
-                    f"entry per PE ({self.size})"
-                )
-            if (volumes < 0).any():
-                raise ValueError("migration volumes must all be >= 0")
-            max_volume = float(volumes.max()) if volumes.size else 0.0
+        volumes = np.asarray(migration_bytes_per_pe, dtype=float)
+        if volumes.shape not in ((), (self.size,)):
+            raise ValueError(
+                "migration_bytes_per_pe must be a scalar or have one "
+                f"entry per PE ({self.size})"
+            )
+        if (volumes < 0).any():
+            raise ValueError("migration volumes must all be >= 0")
+        return VirtualCluster.charge_lb_steps(
+            [self],
+            iterations=[iteration],
+            partition_seconds=[partition_seconds],
+            migration_bytes=np.broadcast_to(volumes, (1, self.size)),
+            roots=[root],
+        )[0]
 
-        state = self.state
-        model = self.comm.cost_model
-        start = state.now()
-        # Gather alphas / workloads at the root.
-        gather_cost = model.collective(self.size, 8.0)
-        state.synchronize(gather_cost)
-        # Root computes the partition.
-        state.clock[root] += partition_seconds
-        # Broadcast the partition.
-        bcast_cost = model.collective(self.size, 8.0 * self.size)
-        state.synchronize(bcast_cost)
-        # Migrate data (personalised exchange, bounded by the largest volume).
-        migrate_cost = model.collective(self.size, max_volume)
-        end = state.synchronize(migrate_cost)
-        self.comm.num_collectives += 3
-        self.comm.comm_time += gather_cost + bcast_cost + migrate_cost
+    @staticmethod
+    def charge_lb_steps(
+        clusters: "Sequence[VirtualCluster]",
+        *,
+        iterations: Sequence[int],
+        partition_seconds: Sequence[float],
+        migration_bytes: np.ndarray,
+        roots: Sequence[int],
+    ) -> List[float]:
+        """Charge one load-balancing step to each of ``k`` equally sized clusters.
 
-        elapsed = end - start
-        state.lb_time += elapsed
-        self.trace.record_lb_event(iteration=iteration, cost=elapsed, timestamp=end)
-        return elapsed
+        Cluster ``i`` pays the step of :meth:`charge_lb_step` with
+        ``iterations[i]``, ``partition_seconds[i]``, row ``i`` of the ``(k, P)``
+        ``migration_bytes`` and ``roots[i]``.  The clocks advance as ``(k,)``
+        vectors, then are written back per cluster: every clock, trace and
+        counter equals that of ``k`` separate calls.  Returns the durations.
+        The clusters must not share a state, or the steps would overlap.
+        """
+        if len({id(cluster.state) for cluster in clusters}) < len(clusters):
+            raise ValueError("charge_lb_steps needs clusters with distinct states")
+        size = clusters[0].size
+        max_volumes = np.max(migration_bytes, axis=1).tolist()
+        # Gather the alphas at the root, broadcast the partition, migrate the
+        # data (a personalised exchange bounded by the largest volume).
+        gather, bcast, migrate = np.array(
+            [
+                [model.collective(size, nbytes) for nbytes in (8.0, 8.0 * size, volume)]
+                for model, volume in zip((c.comm.cost_model for c in clusters), max_volumes)
+            ]
+        ).T
+        clocks = np.stack([cluster.state.clock for cluster in clusters])
+        start = clocks.max(axis=1)
+        clocks[:] = (start + gather)[:, None]
+        clocks[np.arange(len(clusters)), roots] += partition_seconds  # root partitions
+        end = (clocks.max(axis=1) + bcast) + migrate
+        durations = (end - start).tolist()
+        for cluster, iteration, timestamp, cost, comm_cost in zip(
+            clusters, iterations, end.tolist(), durations, ((gather + bcast) + migrate).tolist()
+        ):
+            cluster.state.clock[:] = timestamp
+            cluster.state.lb_time += cost
+            cluster.comm.num_collectives += 3
+            cluster.comm.comm_time += comm_cost
+            cluster.trace.record_lb_event(iteration=iteration, cost=cost, timestamp=timestamp)
+        return durations
 
     # ------------------------------------------------------------------
     def synchronize(self) -> float:

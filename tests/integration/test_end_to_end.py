@@ -129,8 +129,21 @@ class TestPaperHeadlineClaims:
             gains[strong] = compare_runs(std, ulba).gain
         assert gains[1] >= gains[3] - 0.02
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 13])
+    def test_ulba_with_zero_alpha_is_standard(self, seed):
+        """With alpha = 0 Algorithm 2's weights reduce to the even split, so
+        ULBA runs exactly like the standard method."""
+        std = run_erosion_case(
+            num_pes=32, num_strong_rocks=1, policy="standard", seed=seed, **CASE
+        )
+        ulba = run_erosion_case(
+            num_pes=32, num_strong_rocks=1, policy="ulba", alpha=0.0, seed=seed, **CASE
+        )
+        assert ulba.total_time == std.total_time
+
     def test_ulba_alpha_sensitivity(self):
-        """Figure 5 shape: alpha materially changes the ULBA run time."""
+        """Figure 5 shape: alpha materially changes the ULBA run time (at
+        this size alpha = 0.1 and 0.4 differ by about 10 %)."""
         times = {}
         for alpha in (0.1, 0.4):
             run = run_erosion_case(
@@ -138,8 +151,8 @@ class TestPaperHeadlineClaims:
             )
             times[alpha] = run.total_time
         spread = abs(times[0.1] - times[0.4]) / max(times.values())
-        assert spread >= 0.0  # sensitivity exists; exact sign is size-dependent
         assert times[0.1] > 0 and times[0.4] > 0
+        assert spread >= 0.05
 
 
 class TestSyntheticWorkloadPipeline:
